@@ -1,5 +1,8 @@
 #include "netlist/netlist.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "util/error.hpp"
 
 namespace waveletic::netlist {
@@ -8,68 +11,126 @@ void Netlist::add_port(std::string port_name, PortDirection direction) {
   util::require(find_port(port_name) == nullptr, "duplicate port ",
                 port_name);
   add_net(port_name);
-  ++net_degree_[static_cast<size_t>(net_ordinal(port_name))];
+  const auto ord = static_cast<size_t>(net_ordinal(port_name));
+  ++net_degree_[ord];
+  port_of_net_[ord] = static_cast<int32_t>(ports_.size());
   ports_.push_back({std::move(port_name), direction});
 }
 
 void Netlist::add_net(std::string net_name) {
   if (has_net(net_name)) return;
-  net_index_.emplace(net_name, nets_.size());
+  const auto ord = static_cast<int32_t>(nets_.size());
   nets_.push_back(std::move(net_name));
+  net_index_.insert(ord, [this](int32_t i) -> const std::string& {
+    return nets_[static_cast<size_t>(i)];
+  });
   net_degree_.push_back(0);
+  port_of_net_.push_back(-1);
+  net_first_pin_.push_back(-1);
+  net_last_pin_.push_back(-1);
 }
 
 void Netlist::add_instance(Instance inst) {
   util::require(find_instance(inst.name) == nullptr, "duplicate instance ",
                 inst.name);
+  const auto ord = static_cast<int32_t>(instances_.size());
   for (const auto& [pin, net] : inst.pins) {
     add_net(net);
-    ++net_degree_[static_cast<size_t>(net_ordinal(net))];
+    const int32_t net_ord = net_ordinal(net);
+    ++net_degree_[static_cast<size_t>(net_ord)];
+    const auto p = static_cast<int32_t>(pin_net_.size());
+    pin_instance_.push_back(ord);
+    pin_net_.push_back(net_ord);
+    next_pin_.push_back(-1);
+    // Pin ordinals only grow here, so appending keeps each list sorted.
+    auto& last = net_last_pin_[static_cast<size_t>(net_ord)];
+    if (last < 0) {
+      net_first_pin_[static_cast<size_t>(net_ord)] = p;
+    } else {
+      next_pin_[static_cast<size_t>(last)] = p;
+    }
+    last = p;
   }
+  first_pin_.push_back(static_cast<int32_t>(pin_net_.size()));
   instances_.push_back(std::move(inst));
+  instance_index_.insert(ord, [this](int32_t i) -> const std::string& {
+    return instances_[static_cast<size_t>(i)].name;
+  });
 }
 
 void Netlist::retype_instance(const std::string& instance_name,
                               std::string new_cell) {
-  for (auto& inst : instances_) {
-    if (inst.name == instance_name) {
-      inst.cell = std::move(new_cell);
-      return;
-    }
-  }
-  throw util::Error::fmt("retype_instance: unknown instance '", instance_name,
-                         "' in netlist '", name, "'");
+  const int32_t ord = instance_ordinal(instance_name);
+  util::require(ord >= 0, "retype_instance: unknown instance '",
+                instance_name, "' in netlist '", name, "'");
+  instances_[static_cast<size_t>(ord)].cell = std::move(new_cell);
 }
 
 void Netlist::reroute_pin(const std::string& instance_name,
                           const std::string& pin,
                           const std::string& new_net) {
-  Instance* target = nullptr;
-  for (auto& inst : instances_) {
-    if (inst.name == instance_name) {
-      target = &inst;
-      break;
-    }
-  }
-  util::require(target != nullptr, "reroute_pin: unknown instance '",
-                instance_name, "' in netlist '", name, "'");
-  const auto it = target->pins.find(pin);
-  util::require(it != target->pins.end(), "reroute_pin: instance '",
+  const int32_t ord = instance_ordinal(instance_name);
+  util::require(ord >= 0, "reroute_pin: unknown instance '", instance_name,
+                "' in netlist '", name, "'");
+  Instance& target = instances_[static_cast<size_t>(ord)];
+  const auto it = target.pins.find(pin);
+  util::require(it != target.pins.end(), "reroute_pin: instance '",
                 instance_name, "' has no pin '", pin, "'");
   if (it->second == new_net) return;
   add_net(new_net);  // no-op when present; appends otherwise
-  --net_degree_[static_cast<size_t>(net_ordinal(it->second))];
-  ++net_degree_[static_cast<size_t>(net_ordinal(new_net))];
+  const int32_t p = pin_ordinal(static_cast<size_t>(ord), pin);
+  const int32_t old_ord = pin_net_[static_cast<size_t>(p)];
+  const int32_t new_ord = net_ordinal(new_net);
+  --net_degree_[static_cast<size_t>(old_ord)];
+  ++net_degree_[static_cast<size_t>(new_ord)];
+  unlink_pin(p, old_ord);
+  link_pin(p, new_ord);
+  pin_net_[static_cast<size_t>(p)] = new_ord;
   it->second = new_net;
 }
 
+void Netlist::unlink_pin(int32_t pin, int32_t net) {
+  int32_t prev = -1;
+  int32_t cur = net_first_pin_[static_cast<size_t>(net)];
+  while (cur != pin) {
+    prev = cur;
+    cur = next_pin_[static_cast<size_t>(cur)];
+  }
+  const int32_t next = next_pin_[static_cast<size_t>(pin)];
+  if (prev < 0) {
+    net_first_pin_[static_cast<size_t>(net)] = next;
+  } else {
+    next_pin_[static_cast<size_t>(prev)] = next;
+  }
+  if (next < 0) net_last_pin_[static_cast<size_t>(net)] = prev;
+  next_pin_[static_cast<size_t>(pin)] = -1;
+}
+
+void Netlist::link_pin(int32_t pin, int32_t net) {
+  // Insert before the first larger ordinal: lists stay ascending.
+  int32_t prev = -1;
+  int32_t cur = net_first_pin_[static_cast<size_t>(net)];
+  while (cur >= 0 && cur < pin) {
+    prev = cur;
+    cur = next_pin_[static_cast<size_t>(cur)];
+  }
+  next_pin_[static_cast<size_t>(pin)] = cur;
+  if (prev < 0) {
+    net_first_pin_[static_cast<size_t>(net)] = pin;
+  } else {
+    next_pin_[static_cast<size_t>(prev)] = pin;
+  }
+  if (cur < 0) net_last_pin_[static_cast<size_t>(net)] = pin;
+}
+
 bool Netlist::has_net(const std::string& net_name) const noexcept {
-  return net_index_.count(net_name) > 0;
+  return net_ordinal(net_name) >= 0;
 }
 
 int Netlist::net_ordinal(const std::string& net_name) const noexcept {
-  const auto it = net_index_.find(net_name);
-  return it == net_index_.end() ? -1 : static_cast<int>(it->second);
+  return net_index_.find(net_name, [this](int32_t i) -> const std::string& {
+    return nets_[static_cast<size_t>(i)];
+  });
 }
 
 int Netlist::net_degree(int net_ordinal) const noexcept {
@@ -83,9 +144,71 @@ int Netlist::net_degree(const std::string& net_name) const noexcept {
   return net_degree(net_ordinal(net_name));
 }
 
+int Netlist::port_ordinal(const std::string& port_name) const noexcept {
+  return port_of_net(net_ordinal(port_name));
+}
+
+int Netlist::port_of_net(int net_ordinal) const noexcept {
+  return net_ordinal >= 0 &&
+                 static_cast<size_t>(net_ordinal) < port_of_net_.size()
+             ? port_of_net_[static_cast<size_t>(net_ordinal)]
+             : -1;
+}
+
+const Port* Netlist::find_port(const std::string& port_name) const noexcept {
+  const int p = port_ordinal(port_name);
+  return p < 0 ? nullptr : &ports_[static_cast<size_t>(p)];
+}
+
+int32_t Netlist::instance_ordinal(
+    const std::string& inst_name) const noexcept {
+  return instance_index_.find(inst_name,
+                              [this](int32_t i) -> const std::string& {
+                                return instances_[static_cast<size_t>(i)].name;
+                              });
+}
+
+const Instance* Netlist::find_instance(
+    const std::string& inst_name) const noexcept {
+  const int32_t ord = instance_ordinal(inst_name);
+  return ord < 0 ? nullptr : &instances_[static_cast<size_t>(ord)];
+}
+
+int32_t Netlist::pin_ordinal(size_t instance_ordinal,
+                             const std::string& pin_name) const {
+  const auto& pins = instances_[instance_ordinal].pins;
+  const auto it = pins.find(pin_name);
+  return it == pins.end() ? -1
+                          : first_pin_[instance_ordinal] +
+                                static_cast<int32_t>(
+                                    std::distance(pins.begin(), it));
+}
+
+const std::string& Netlist::pin_name(int32_t pin) const {
+  const auto inst = static_cast<size_t>(pin_instance(pin));
+  return std::next(instances_[inst].pins.begin(), pin - first_pin_[inst])
+      ->first;
+}
+
+Netlist::NetPins Netlist::net_pins(int net_ordinal) const noexcept {
+  const bool in_range = net_ordinal >= 0 &&
+                        static_cast<size_t>(net_ordinal) < nets_.size();
+  return {next_pin_.data(),
+          in_range ? net_first_pin_[static_cast<size_t>(net_ordinal)] : -1};
+}
+
+std::vector<Netlist::PinRef> Netlist::pins_on_net(
+    const std::string& net_name) const {
+  std::vector<PinRef> out;
+  for (const int32_t p : net_pins(net_ordinal(net_name))) {
+    out.push_back({&pin_owner(p), pin_name(p)});
+  }
+  return out;
+}
+
 Netlist::Components Netlist::connected_components() const {
   // Union-find over net ordinals; every instance unites the nets its
-  // pins touch (pins is an ordered map, so the walk is deterministic).
+  // pins touch, walked in pin-ordinal order (deterministic).
   std::vector<int> parent(nets_.size());
   for (size_t i = 0; i < parent.size(); ++i) parent[i] = static_cast<int>(i);
   auto find = [&](int x) {
@@ -96,15 +219,10 @@ Netlist::Components Netlist::connected_components() const {
     }
     return x;
   };
-  for (const auto& inst : instances_) {
-    int first = -1;
-    for (const auto& [pin, net] : inst.pins) {
-      const int ord = net_ordinal(net);
-      if (first < 0) {
-        first = ord;
-      } else {
-        parent[static_cast<size_t>(find(ord))] = find(first);
-      }
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    const int32_t first = first_pin_[i];
+    for (int32_t p = first + 1; p < first_pin_[i + 1]; ++p) {
+      parent[static_cast<size_t>(find(pin_net(p)))] = find(pin_net(first));
     }
   }
   Components out;
@@ -121,46 +239,36 @@ std::vector<int> Netlist::transitive_fanout_nets(
     std::span<const int> seeds,
     const std::function<bool(const Instance&, const std::string& pin)>&
         drives) const {
-  // One pass over every instance pin builds the net → consuming
-  // instances index and each instance's driven-net list; the closure is
-  // then a plain BFS over net ordinals.
-  std::vector<std::vector<int>> consumers(nets_.size());  // net → instances
-  std::vector<std::vector<int>> driven(instances_.size());  // inst → nets
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    for (const auto& [pin, net] : instances_[i].pins) {
-      const int ord = net_ordinal(net);
-      if (drives(instances_[i], pin)) {
-        driven[i].push_back(ord);
-      } else {
-        consumers[static_cast<size_t>(ord)].push_back(static_cast<int>(i));
-      }
-    }
-  }
+  // Depth-first closure over the net → pin incidence: a reached net's
+  // non-driving pins reach their instances, whose driving pins' nets
+  // join the set.  Only the cone's pins are visited.
   std::vector<char> reached(nets_.size(), 0);
   std::vector<int> stack;
+  std::vector<int> out;
+  auto reach = [&](int net) {
+    if (reached[static_cast<size_t>(net)]) return;
+    reached[static_cast<size_t>(net)] = 1;
+    stack.push_back(net);
+    out.push_back(net);
+  };
   for (const int seed : seeds) {
-    if (seed < 0 || static_cast<size_t>(seed) >= nets_.size()) continue;
-    if (!reached[static_cast<size_t>(seed)]) {
-      reached[static_cast<size_t>(seed)] = 1;
-      stack.push_back(seed);
-    }
+    if (seed >= 0 && static_cast<size_t>(seed) < nets_.size()) reach(seed);
   }
   while (!stack.empty()) {
     const int net = stack.back();
     stack.pop_back();
-    for (const int inst : consumers[static_cast<size_t>(net)]) {
-      for (const int out : driven[static_cast<size_t>(inst)]) {
-        if (!reached[static_cast<size_t>(out)]) {
-          reached[static_cast<size_t>(out)] = 1;
-          stack.push_back(out);
-        }
+    for (const int32_t p : net_pins(net)) {
+      const auto i = static_cast<size_t>(pin_instance(p));
+      const Instance& inst = instances_[i];
+      if (drives(inst, pin_name(p))) continue;
+      int32_t q = first_pin_[i];
+      for (const auto& [pin, pin_net_name] : inst.pins) {
+        if (drives(inst, pin)) reach(pin_net(q));
+        ++q;
       }
     }
   }
-  std::vector<int> out;
-  for (size_t i = 0; i < nets_.size(); ++i) {
-    if (reached[i]) out.push_back(static_cast<int>(i));
-  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -168,42 +276,11 @@ const Instance* Netlist::driver_of(
     int net_ordinal,
     const std::function<bool(const Instance&, const std::string& pin)>&
         drives) const {
-  if (net_ordinal < 0 || static_cast<size_t>(net_ordinal) >= nets_.size()) {
-    return nullptr;
-  }
-  const std::string& net = nets_[static_cast<size_t>(net_ordinal)];
-  for (const auto& inst : instances_) {
-    for (const auto& [pin, pin_net] : inst.pins) {
-      if (pin_net == net && drives(inst, pin)) return &inst;
-    }
+  for (const int32_t p : net_pins(net_ordinal)) {
+    const Instance& inst = pin_owner(p);
+    if (drives(inst, pin_name(p))) return &inst;
   }
   return nullptr;
-}
-
-const Port* Netlist::find_port(const std::string& port_name) const noexcept {
-  for (const auto& p : ports_) {
-    if (p.name == port_name) return &p;
-  }
-  return nullptr;
-}
-
-const Instance* Netlist::find_instance(
-    const std::string& inst_name) const noexcept {
-  for (const auto& inst : instances_) {
-    if (inst.name == inst_name) return &inst;
-  }
-  return nullptr;
-}
-
-std::vector<Netlist::PinRef> Netlist::pins_on_net(
-    const std::string& net_name) const {
-  std::vector<PinRef> out;
-  for (const auto& inst : instances_) {
-    for (const auto& [pin, net] : inst.pins) {
-      if (net == net_name) out.push_back({&inst, pin});
-    }
-  }
-  return out;
 }
 
 void Netlist::validate() const {

@@ -6,12 +6,14 @@
 /// levelizes; it is deliberately library-agnostic (cells are referenced
 /// by name and resolved against a liberty::Library at analysis time).
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
+
+#include "util/ordinal_index.hpp"
 
 namespace waveletic::netlist {
 
@@ -78,12 +80,72 @@ class Netlist {
   /// degree ≤ k+1 drives at most k sinks.
   [[nodiscard]] int net_degree(int net_ordinal) const noexcept;
   [[nodiscard]] int net_degree(const std::string& net_name) const noexcept;
+  /// Ordinal of the port named `port_name` in ports(), or -1.  O(1):
+  /// a port is a net, so this is net_ordinal() plus a per-net table.
+  [[nodiscard]] int port_ordinal(const std::string& port_name) const noexcept;
+  /// Ordinal of the port on net `net_ordinal`, or -1 — O(1).
+  [[nodiscard]] int port_of_net(int net_ordinal) const noexcept;
+  /// The port named `port_name`, or null.  O(1).
   [[nodiscard]] const Port* find_port(
       const std::string& port_name) const noexcept;
+  /// The instance named `inst_name`, or null.  O(1) expected.
   [[nodiscard]] const Instance* find_instance(
       const std::string& inst_name) const noexcept;
 
-  /// Instances whose given pin connects to `net_name`.
+  // -- net → pin incidence -------------------------------------------------
+  // Instance pins are numbered densely ("pin ordinals") in instance
+  // order, then pin-map order: instance i owns the pins
+  // [first_pin(i), first_pin(i + 1)).  Every net threads its pins in
+  // ascending pin ordinal, which is exactly the (instance, pin-map)
+  // order each per-net fold of the STA engine relies on.  The index is
+  // kept current by every add and edit and stores ordinals only, so a
+  // copied netlist carries a valid index.
+
+  [[nodiscard]] int32_t first_pin(size_t instance_ordinal) const noexcept {
+    return first_pin_[instance_ordinal];
+  }
+  [[nodiscard]] int32_t pin_instance(int32_t pin) const noexcept {
+    return pin_instance_[static_cast<size_t>(pin)];
+  }
+  /// The instance owning pin `pin`.
+  [[nodiscard]] const Instance& pin_owner(int32_t pin) const noexcept {
+    return instances_[static_cast<size_t>(pin_instance(pin))];
+  }
+  [[nodiscard]] int32_t pin_net(int32_t pin) const noexcept {
+    return pin_net_[static_cast<size_t>(pin)];
+  }
+  /// Pin ordinal of the connected pin `pin_name` of an instance, or -1
+  /// when it is not connected — O(pins of that instance).
+  [[nodiscard]] int32_t pin_ordinal(size_t instance_ordinal,
+                                    const std::string& pin_name) const;
+  /// Name of pin `pin` within its instance — O(pins of that instance).
+  [[nodiscard]] const std::string& pin_name(int32_t pin) const;
+
+  /// Forward range over the pin ordinals on one net (see net_pins()).
+  struct NetPins {
+    struct iterator {
+      const int32_t* next;
+      int32_t pin;
+      int32_t operator*() const noexcept { return pin; }
+      iterator& operator++() noexcept {
+        pin = next[pin];
+        return *this;
+      }
+      bool operator!=(const iterator& o) const noexcept {
+        return pin != o.pin;
+      }
+    };
+    const int32_t* next;
+    int32_t head;
+    [[nodiscard]] iterator begin() const noexcept { return {next, head}; }
+    [[nodiscard]] iterator end() const noexcept { return {next, -1}; }
+  };
+  /// The instance pins on a net in (instance, pin-map) order; empty for
+  /// an out-of-range ordinal.  O(1) to create, O(degree) to walk.
+  [[nodiscard]] NetPins net_pins(int net_ordinal) const noexcept;
+
+  /// Instances whose given pin connects to `net_name`, in net_pins()
+  /// order.  O(degree).
   struct PinRef {
     const Instance* instance;
     std::string pin;
@@ -101,7 +163,7 @@ class Netlist {
   /// over (instance, net) incidence.  `net_component[ordinal]` is the
   /// component id of each net (dense, 0-based, numbered by first net
   /// ordinal); nets of different components can never influence each
-  /// other.  Computed on demand — O(instances × pins).
+  /// other.  Computed on demand — O(nets + pins).
   struct Components {
     std::vector<int> net_component;
     int count = 0;
@@ -124,8 +186,9 @@ class Netlist {
   /// fanout cone of the paper's central observation — a noise bump on a
   /// net perturbs timing only through these nets — and the netlist-
   /// layer counterpart of the vertex cone StaEngine::delta_plan()
-  /// re-propagates.  O(total pins) per call; ignores seed ordinals that
-  /// are out of range.
+  /// re-propagates.  O(nets + pins the cone touches) per call, through
+  /// the net → pin incidence; ignores seed ordinals that are out of
+  /// range.
   [[nodiscard]] std::vector<int> transitive_fanout_nets(
       std::span<const int> seeds,
       const std::function<bool(const Instance&, const std::string& pin)>&
@@ -136,7 +199,7 @@ class Netlist {
   /// transitive_fanout_nets), or null when the net is driven by a port
   /// or undriven.  Two nets sharing a driver are complementary outputs
   /// of one cell — the correlation screen's same-driver rule.
-  /// O(total pins) per call.
+  /// O(degree) per call.
   [[nodiscard]] const Instance* driver_of(
       int net_ordinal,
       const std::function<bool(const Instance&, const std::string& pin)>&
@@ -147,7 +210,23 @@ class Netlist {
   std::vector<std::string> nets_;
   std::vector<Instance> instances_;
   std::vector<int> net_degree_;  ///< connection count per net ordinal
-  std::unordered_map<std::string, size_t> net_index_;
+  util::OrdinalIndex net_index_;       ///< net name → net ordinal
+  util::OrdinalIndex instance_index_;  ///< instance name → ordinal
+  std::vector<int32_t> port_of_net_;   ///< net → port ordinal, -1 if none
+  // The net → pin incidence (see net_pins()): per-instance pin ranges,
+  // per-pin owner and net, and per net a singly linked list of its pin
+  // ordinals threaded through next_pin_ in ascending order.
+  std::vector<int32_t> first_pin_{0};    ///< instance → first pin; +1 end
+  std::vector<int32_t> pin_instance_;    ///< pin → instance ordinal
+  std::vector<int32_t> pin_net_;         ///< pin → net ordinal
+  std::vector<int32_t> next_pin_;        ///< pin → next pin on its net
+  std::vector<int32_t> net_first_pin_;   ///< net → first pin, -1 if none
+  std::vector<int32_t> net_last_pin_;    ///< net → last pin, -1 if none
+
+  [[nodiscard]] int32_t instance_ordinal(
+      const std::string& inst_name) const noexcept;
+  void link_pin(int32_t pin, int32_t net);
+  void unlink_pin(int32_t pin, int32_t net);
 };
 
 }  // namespace waveletic::netlist

@@ -168,14 +168,22 @@ StaEngine::~StaEngine() = default;
 util::Error StaEngine::unknown_vertex_error(const std::string& name) const {
   std::ostringstream os;
   os << "unknown pin/port: " << name;
-  append_suggestions(os, nearest_names(name, sorted_vertex_names_));
+  std::vector<std::string> names = vertex_names_;
+  std::sort(names.begin(), names.end());
+  append_suggestions(os, nearest_names(name, names));
   return util::Error(os.str());
 }
 
+int StaEngine::vertex_of(const std::string& name) const noexcept {
+  return vertex_index_.find(name, [this](int32_t v) -> const std::string& {
+    return vertex_names_[static_cast<size_t>(v)];
+  });
+}
+
 int StaEngine::find_vertex(const std::string& name) const {
-  const auto it = vertex_index_.find(name);
-  if (it == vertex_index_.end()) throw unknown_vertex_error(name);
-  return it->second;
+  const int v = vertex_of(name);
+  if (v < 0) throw unknown_vertex_error(name);
+  return v;
 }
 
 PinId StaEngine::pin(const std::string& name) const {
@@ -183,9 +191,8 @@ PinId StaEngine::pin(const std::string& name) const {
 }
 
 PinId StaEngine::find_pin(const std::string& name) const noexcept {
-  const auto it = vertex_index_.find(name);
-  if (it == vertex_index_.end()) return PinId{};
-  return PinId{it->second, graph_tag_};
+  const int v = vertex_of(name);
+  return v < 0 ? PinId{} : PinId{v, graph_tag_};
 }
 
 NetId StaEngine::net(const std::string& name) const {
@@ -202,11 +209,9 @@ NetId StaEngine::net(const std::string& name) const {
 }
 
 PortId StaEngine::port(const std::string& name) const {
-  for (size_t i = 0; i < ports_.size(); ++i) {
-    if (ports_[i].name == name) {
-      return PortId{static_cast<int32_t>(i), graph_tag_};
-    }
-  }
+  // Graph ports mirror the netlist's port order one for one.
+  const int p = netlist_->port_ordinal(name);
+  if (p >= 0) return PortId{p, graph_tag_};
   std::ostringstream os;
   os << "unknown port: " << name << " (ports:";
   for (const auto& p : ports_) os << ' ' << p.name;
@@ -260,97 +265,102 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
   // instance pins in instance / pin-map order) — stable under retype
   // and reroute edits, which is what lets the service carry timing
   // baselines across a structural rebuild by direct index.
-  auto vertex = [&g](const std::string& name) {
-    const auto it = g.vertex_index.find(name);
-    if (it != g.vertex_index.end()) return it->second;
-    const int id = static_cast<int>(g.vertex_names.size());
-    g.vertex_names.push_back(name);
-    g.vertex_index.emplace(name, id);
-    return id;
+  const auto vertex_name = [&g](int32_t v) -> const std::string& {
+    return g.vertex_names[static_cast<size_t>(v)];
+  };
+  auto vertex = [&g, &vertex_name](std::string name) {
+    const int32_t found = g.vertex_index.find(name, vertex_name);
+    if (found >= 0) return static_cast<int>(found);
+    const auto id = static_cast<int32_t>(g.vertex_names.size());
+    g.vertex_names.push_back(std::move(name));
+    g.vertex_index.insert(id, vertex_name);
+    return static_cast<int>(id);
   };
   // Vertices + port records for ports.
   for (const auto& port : nl.ports()) {
     const int v = vertex(port.name);
     g.ports.push_back({port.name, v, port.direction});
   }
-  // Vertices + cell arc edges for instances.
-  for (const auto& inst : nl.instances()) {
+  // Vertices + cell arc edges for instances.  Each instance pin is
+  // interned exactly once, here; its vertex id and liberty pin are kept
+  // by pin ordinal (Netlist::first_pin) for the net pass below.
+  const auto& instances = nl.instances();
+  const auto n_pins = static_cast<size_t>(nl.first_pin(instances.size()));
+  std::vector<int> pin_vertex(n_pins);
+  std::vector<const liberty::Pin*> pin_lib(n_pins);
+  std::vector<const liberty::Cell*> inst_cell(instances.size());
+  for (size_t i = 0; i < instances.size(); ++i) {
+    const auto& inst = instances[i];
     const liberty::Cell* cell = lib.find_cell(inst.cell);
     util::require(cell != nullptr, "instance ", inst.name,
                   " references unknown cell ", inst.cell);
+    inst_cell[i] = cell;
+    auto p = static_cast<size_t>(nl.first_pin(i));
     for (const auto& [pin_name, net] : inst.pins) {
       const liberty::Pin* pin = cell->find_pin(pin_name);
       util::require(pin != nullptr, "instance ", inst.name,
                     ": cell ", inst.cell, " has no pin ", pin_name);
-      vertex(inst.name + "/" + pin_name);
+      pin_lib[p] = pin;
+      pin_vertex[p++] = vertex(inst.name + "/" + pin_name);
     }
     // One edge per (input pin -> output pin) timing arc.
     for (const auto& pin : cell->pins) {
       if (pin.direction != liberty::PinDirection::kOutput) continue;
-      const auto out_it = inst.pins.find(pin.name);
-      if (out_it == inst.pins.end()) continue;
+      const int32_t out_pin = nl.pin_ordinal(i, pin.name);
+      if (out_pin < 0) continue;
       for (const auto& arc : pin.arcs) {
-        const auto in_it = inst.pins.find(arc.related_pin);
-        if (in_it == inst.pins.end()) continue;
+        const int32_t in_pin = nl.pin_ordinal(i, arc.related_pin);
+        if (in_pin < 0) continue;
         CellArcEdge e;
-        e.from = vertex(inst.name + "/" + arc.related_pin);
-        e.to = vertex(inst.name + "/" + pin.name);
+        e.from = pin_vertex[static_cast<size_t>(in_pin)];
+        e.to = pin_vertex[static_cast<size_t>(out_pin)];
         e.arc = &arc;
-        e.out_net = nl.net_ordinal(out_it->second);
+        e.out_net = nl.pin_net(out_pin);
         g.cell_edges.push_back(e);
       }
     }
   }
   const size_t n_nets = nl.nets().size();
-  g.edges_of_net.assign(n_nets, {});
-  g.arcs_of_net.assign(n_nets, {});
-  g.sink_load_edges_of_net.assign(n_nets, {});
-  for (size_t i = 0; i < g.cell_edges.size(); ++i) {
-    if (g.cell_edges[i].out_net >= 0) {
-      g.arcs_of_net[static_cast<size_t>(g.cell_edges[i].out_net)].push_back(
-          static_cast<uint32_t>(i));
+  // Net edges: driver -> every sink, one walk of the net → pin
+  // incidence (pins in instance, then pin-map order).
+  struct Sink {
+    int v;
+    const liberty::Pin* pin;
+    const liberty::Cell* cell;
+    int32_t out_net;  // net driven by the sink gate's output pin
+  };
+  std::vector<int> drivers;
+  std::vector<Sink> sinks;
+  for (size_t n = 0; n < n_nets; ++n) {
+    const auto net_ord = static_cast<int32_t>(n);
+    drivers.clear();
+    sinks.clear();
+    // Driver: an input port on this net, or an instance output.
+    const int port = nl.port_of_net(net_ord);
+    const PortRec* port_rec =
+        port < 0 ? nullptr : &g.ports[static_cast<size_t>(port)];
+    if (port_rec && port_rec->direction == netlist::PortDirection::kInput) {
+      drivers.push_back(port_rec->vertex);
     }
-  }
-  // Net edges: driver -> every sink.
-  for (const auto& net : nl.nets()) {
-    // Driver: an input port with this net name, or an instance output.
-    std::vector<int> drivers;
-    if (const auto* port = nl.find_port(net)) {
-      if (port->direction == netlist::PortDirection::kInput) {
-        drivers.push_back(vertex(net));
-      }
-    }
-    struct Sink {
-      int v;
-      const liberty::Pin* pin;
-      const liberty::Cell* cell;
-      int32_t out_net;  // net driven by the sink gate's output pin
-    };
-    std::vector<Sink> sinks;
-    for (const auto& ref : nl.pins_on_net(net)) {
-      const liberty::Cell* cell = lib.find_cell(ref.instance->cell);
-      const liberty::Pin* pin = cell->find_pin(ref.pin);
-      const int v = vertex(ref.instance->name + "/" + ref.pin);
+    for (const int32_t p : nl.net_pins(net_ord)) {
+      const liberty::Pin* pin = pin_lib[static_cast<size_t>(p)];
+      const int v = pin_vertex[static_cast<size_t>(p)];
       if (pin->direction == liberty::PinDirection::kOutput) {
         drivers.push_back(v);
       } else {
-        const auto& out_pin = cell->output_pin();
-        const auto out_it = ref.instance->pins.find(out_pin.name);
-        sinks.push_back({v, pin, cell,
-                         out_it == ref.instance->pins.end()
-                             ? -1
-                             : nl.net_ordinal(out_it->second)});
+        const auto i = static_cast<size_t>(nl.pin_instance(p));
+        const int32_t out_pin =
+            nl.pin_ordinal(i, inst_cell[i]->output_pin().name);
+        sinks.push_back({v, pin, inst_cell[i],
+                         out_pin < 0 ? -1 : nl.pin_net(out_pin)});
       }
     }
-    if (const auto* port = nl.find_port(net)) {
-      if (port->direction == netlist::PortDirection::kOutput) {
-        sinks.push_back({vertex(net), nullptr, nullptr, -1});
-      }
+    if (port_rec && port_rec->direction == netlist::PortDirection::kOutput) {
+      sinks.push_back({port_rec->vertex, nullptr, nullptr, -1});
     }
-    util::require(drivers.size() <= 1, "net ", net, " has ", drivers.size(),
-                  " drivers");
+    util::require(drivers.size() <= 1, "net ", nl.nets()[n], " has ",
+                  drivers.size(), " drivers");
     if (drivers.empty()) continue;  // undriven net: stays unconstrained
-    const int32_t net_ord = nl.net_ordinal(net);
     for (const auto& sink : sinks) {
       NetEdge e;
       e.from = drivers[0];
@@ -359,36 +369,45 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
       e.sink_pin = sink.pin;
       e.sink_cell = sink.cell;
       e.sink_out_net = sink.out_net;
-      const auto idx = static_cast<uint32_t>(g.net_edges.size());
-      g.edges_of_net[static_cast<size_t>(net_ord)].push_back(idx);
-      if (sink.out_net >= 0) {
-        g.sink_load_edges_of_net[static_cast<size_t>(sink.out_net)].push_back(
-            idx);
-      }
       g.net_edges.push_back(e);
     }
   }
+  // Per-net edge tables, each row in ascending edge index.
+  g.arcs_of_net = Rows<uint32_t>::build(n_nets, [&g](const auto& put) {
+    for (size_t i = 0; i < g.cell_edges.size(); ++i) {
+      const int32_t net = g.cell_edges[i].out_net;
+      if (net >= 0) put(net, static_cast<uint32_t>(i));
+    }
+  });
+  g.edges_of_net = Rows<uint32_t>::build(n_nets, [&g](const auto& put) {
+    for (size_t i = 0; i < g.net_edges.size(); ++i) {
+      put(g.net_edges[i].net, static_cast<uint32_t>(i));
+    }
+  });
+  g.sink_load_edges_of_net =
+      Rows<uint32_t>::build(n_nets, [&g](const auto& put) {
+        for (size_t i = 0; i < g.net_edges.size(); ++i) {
+          const int32_t net = g.net_edges[i].sink_out_net;
+          if (net >= 0) put(net, static_cast<uint32_t>(i));
+        }
+      });
   // Adjacency in deterministic construction order: cell edges first,
   // then net edges, each by ascending edge index.  Every per-vertex
   // fold during propagation walks these lists in this fixed order,
   // which is what makes results independent of the thread count.
   const size_t n = g.vertex_names.size();
-  g.in_edges.assign(n, {});
-  g.out_edges.assign(n, {});
-  for (size_t i = 0; i < g.cell_edges.size(); ++i) {
-    g.out_edges[static_cast<size_t>(g.cell_edges[i].from)].push_back(
-        {true, static_cast<uint32_t>(i)});
-    g.in_edges[static_cast<size_t>(g.cell_edges[i].to)].push_back(
-        {true, static_cast<uint32_t>(i)});
-  }
-  for (size_t i = 0; i < g.net_edges.size(); ++i) {
-    g.out_edges[static_cast<size_t>(g.net_edges[i].from)].push_back(
-        {false, static_cast<uint32_t>(i)});
-    g.in_edges[static_cast<size_t>(g.net_edges[i].to)].push_back(
-        {false, static_cast<uint32_t>(i)});
-  }
-  g.sorted_vertex_names = g.vertex_names;
-  std::sort(g.sorted_vertex_names.begin(), g.sorted_vertex_names.end());
+  const auto adjacency = [&g, n](auto end_of) {
+    return Rows<EdgeRef>::build(n, [&g, &end_of](const auto& put) {
+      for (size_t i = 0; i < g.cell_edges.size(); ++i) {
+        put(end_of(g.cell_edges[i]), EdgeRef{true, static_cast<uint32_t>(i)});
+      }
+      for (size_t i = 0; i < g.net_edges.size(); ++i) {
+        put(end_of(g.net_edges[i]), EdgeRef{false, static_cast<uint32_t>(i)});
+      }
+    });
+  };
+  g.out_edges = adjacency([](const auto& e) { return e.from; });
+  g.in_edges = adjacency([](const auto& e) { return e.to; });
   levelize(g);
   for (size_t p = 0; p < g.ports.size(); ++p) {
     if (g.ports[p].direction == netlist::PortDirection::kOutput) {
@@ -510,29 +529,29 @@ void StaEngine::compute_loads() {
 }
 
 void StaEngine::recompute_net_loads(std::span<const int32_t> nets) {
-  const auto& names = netlist_->nets();
+  const size_t n_nets = netlist_->nets().size();
   for (const int32_t ord : nets) {
-    util::require(ord >= 0 && static_cast<size_t>(ord) < names.size(),
+    util::require(ord >= 0 && static_cast<size_t>(ord) < n_nets,
                   "recompute_net_loads: net ordinal ", ord,
-                  " out of range (", names.size(), " nets)");
-    const std::string& net = names[static_cast<size_t>(ord)];
+                  " out of range (", n_nets, " nets)");
     // Fold in the exact compute_loads() order — sink pin caps in
     // (instance, pin-map) order, then parasitic cap, then port load —
     // so the per-net sum is bitwise identical to a full prepare().
+    // O(degree): the net → pin incidence lists exactly this net's pins.
     double load = 0.0;
-    for (const auto& ref : netlist_->pins_on_net(net)) {
-      const liberty::Cell* cell = library_->find_cell(ref.instance->cell);
-      const liberty::Pin* pin = cell->find_pin(ref.pin);
+    for (const int32_t p : netlist_->net_pins(ord)) {
+      const liberty::Cell* cell =
+          library_->find_cell(netlist_->pin_owner(p).cell);
+      const liberty::Pin* pin = cell->find_pin(netlist_->pin_name(p));
       if (pin->direction == liberty::PinDirection::kInput) {
         load += pin->capacitance;
       }
     }
     load += net_parasitics_[static_cast<size_t>(ord)].first;
-    for (size_t p = 0; p < ports_.size(); ++p) {
-      if (ports_[p].direction == netlist::PortDirection::kOutput &&
-          ports_[p].name == net) {
-        load += output_loads_[p];
-      }
+    const int port = netlist_->port_of_net(ord);
+    if (port >= 0 && ports_[static_cast<size_t>(port)].direction ==
+                         netlist::PortDirection::kOutput) {
+      load += output_loads_[static_cast<size_t>(port)];
     }
     net_loads_[static_cast<size_t>(ord)] = load;
   }

@@ -48,7 +48,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/method.hpp"
@@ -57,6 +56,7 @@
 #include "sta/ids.hpp"
 #include "sta/partition.hpp"
 #include "util/error.hpp"
+#include "util/ordinal_index.hpp"
 #include "wave/kernels.hpp"
 #include "wave/waveform.hpp"
 
@@ -636,6 +636,40 @@ class StaEngine {
     netlist::PortDirection direction = netlist::PortDirection::kInput;
   };
 
+  /// A table of rows in compressed (CSR) form: row r holds
+  /// entries[offsets[r] .. offsets[r + 1]).  One allocation per table
+  /// instead of one per vertex or net.
+  template <typename T>
+  struct Rows {
+    std::vector<uint32_t> offsets{0};
+    std::vector<T> entries;
+    [[nodiscard]] std::span<const T> operator[](size_t r) const noexcept {
+      return {entries.data() + offsets[r], entries.data() + offsets[r + 1]};
+    }
+    /// Builds the table from `emit(put)`, which must call put(row,
+    /// value) for every entry, the same way both times it is called;
+    /// each row keeps its entries in emit order.
+    template <typename Emit>
+    [[nodiscard]] static Rows build(size_t n_rows, const Emit& emit) {
+      Rows rows;
+      rows.offsets.assign(n_rows + 1, 0);
+      emit([&rows](auto row, const T&) {
+        ++rows.offsets[static_cast<size_t>(row) + 1];
+      });
+      for (size_t r = 0; r < n_rows; ++r) {
+        rows.offsets[r + 1] += rows.offsets[r];
+      }
+      rows.entries.resize(rows.offsets[n_rows]);
+      std::vector<uint32_t> fill(rows.offsets.begin(), rows.offsets.end() - 1);
+      emit([&rows, &fill](auto row, const T& value) {
+        rows.entries[fill[static_cast<size_t>(row)]++] = value;
+      });
+      return rows;
+    }
+  };
+  /// (is cell edge, edge index) — an adjacency entry.
+  using EdgeRef = std::pair<bool, uint32_t>;
+
   /// The immutable structure layer: everything derived purely from
   /// (netlist, library) topology.  Built once by make_graph() and held
   /// through shared_ptr<const Graph>; engine forks share ONE Graph, so
@@ -645,20 +679,19 @@ class StaEngine {
   struct Graph {
     uint32_t tag = 0;  ///< handle tag shared by every fork
     std::vector<std::string> vertex_names;
-    std::unordered_map<std::string, int> vertex_index;
-    std::vector<std::string> sorted_vertex_names;
+    util::OrdinalIndex vertex_index;  ///< vertex name → vertex id
     std::vector<PortRec> ports;
     std::vector<CellArcEdge> cell_edges;
     std::vector<NetEdge> net_edges;
-    std::vector<std::vector<uint32_t>> edges_of_net;
+    Rows<uint32_t> edges_of_net;  ///< net ordinal → its net edges
     /// Net ordinal → cell arcs driving it (an arc's delay reads its
     /// output net's load): the load-edit dirty-seed table.
-    std::vector<std::vector<uint32_t>> arcs_of_net;
+    Rows<uint32_t> arcs_of_net;
     /// Net ordinal → net edges whose SINK gate drives it (noisy-edge
     /// Γeff synthesis reads that output load at the sink).
-    std::vector<std::vector<uint32_t>> sink_load_edges_of_net;
-    std::vector<std::vector<std::pair<bool, uint32_t>>> in_edges;
-    std::vector<std::vector<std::pair<bool, uint32_t>>> out_edges;
+    Rows<uint32_t> sink_load_edges_of_net;
+    Rows<EdgeRef> in_edges;
+    Rows<EdgeRef> out_edges;
     std::vector<std::vector<int>> levels;
     std::vector<int> vertex_level;
     std::vector<int32_t> endpoint_ports;
@@ -676,6 +709,8 @@ class StaEngine {
   struct ForkTag {};
   StaEngine(const StaEngine& other, ForkTag);
 
+  /// Vertex id of a pin/port name, or -1 — O(1) expected.
+  [[nodiscard]] int vertex_of(const std::string& name) const noexcept;
   [[nodiscard]] int find_vertex(const std::string& name) const;
   /// Index checks behind every handle accessor; throw on foreign/stale
   /// handles and return the dense index.
@@ -738,19 +773,13 @@ class StaEngine {
   // and accessor code has always used.  References make the engine
   // non-assignable, which is fine: engines live behind unique_ptr.
   const std::vector<std::string>& vertex_names_ = graph_->vertex_names;
-  const std::unordered_map<std::string, int>& vertex_index_ =
-      graph_->vertex_index;
-  const std::vector<std::string>& sorted_vertex_names_ =
-      graph_->sorted_vertex_names;
+  const util::OrdinalIndex& vertex_index_ = graph_->vertex_index;
   const std::vector<PortRec>& ports_ = graph_->ports;
   const std::vector<CellArcEdge>& cell_edges_ = graph_->cell_edges;
   const std::vector<NetEdge>& net_edges_ = graph_->net_edges;
-  const std::vector<std::vector<uint32_t>>& edges_of_net_ =
-      graph_->edges_of_net;
-  const std::vector<std::vector<std::pair<bool, uint32_t>>>& in_edges_ =
-      graph_->in_edges;
-  const std::vector<std::vector<std::pair<bool, uint32_t>>>& out_edges_ =
-      graph_->out_edges;
+  const Rows<uint32_t>& edges_of_net_ = graph_->edges_of_net;
+  const Rows<EdgeRef>& in_edges_ = graph_->in_edges;
+  const Rows<EdgeRef>& out_edges_ = graph_->out_edges;
   const std::vector<std::vector<int>>& levels_ = graph_->levels;
   const std::vector<int>& vertex_level_ = graph_->vertex_level;
   const std::vector<int32_t>& endpoint_ports_ = graph_->endpoint_ports;

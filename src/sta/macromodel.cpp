@@ -23,10 +23,10 @@ liberty::NldmTable make_table(const std::vector<double>& slews,
 double net_input_cap(const netlist::Netlist& nl, const liberty::Library& lib,
                      const std::string& net_name) {
   double cap = 0.0;
-  for (const auto& ref : nl.pins_on_net(net_name)) {
-    const liberty::Cell* cell = lib.find_cell(ref.instance->cell);
+  for (const int32_t p : nl.net_pins(nl.net_ordinal(net_name))) {
+    const liberty::Cell* cell = lib.find_cell(nl.pin_owner(p).cell);
     if (!cell) continue;
-    const liberty::Pin* pin = cell->find_pin(ref.pin);
+    const liberty::Pin* pin = cell->find_pin(nl.pin_name(p));
     if (pin && pin->direction == liberty::PinDirection::kInput) {
       cap += pin->capacitance;
     }
@@ -42,12 +42,14 @@ const PinTiming* latest_sink_timing(const StaEngine& eng,
                                     const liberty::Library& lib,
                                     const std::string& net, RiseFall rf) {
   const PinTiming* best = nullptr;
-  for (const auto& ref : nl.pins_on_net(net)) {
-    const liberty::Cell* cell = lib.find_cell(ref.instance->cell);
+  for (const int32_t p : nl.net_pins(nl.net_ordinal(net))) {
+    const auto& inst = nl.pin_owner(p);
+    const liberty::Cell* cell = lib.find_cell(inst.cell);
     if (!cell) continue;
-    const liberty::Pin* pin = cell->find_pin(ref.pin);
+    const std::string& pin_name = nl.pin_name(p);
+    const liberty::Pin* pin = cell->find_pin(pin_name);
     if (!pin || pin->direction != liberty::PinDirection::kInput) continue;
-    const PinId id = eng.find_pin(ref.instance->name + "/" + ref.pin);
+    const PinId id = eng.find_pin(inst.name + "/" + pin_name);
     if (!id.valid()) continue;
     const PinTiming& t = eng.timing(id, rf);
     if (!t.valid || t.slew <= 0.0) continue;
@@ -227,9 +229,9 @@ BlockModel extract_block_model(const netlist::Netlist& block,
   for (const auto& net : probe_nets) {
     double victim_arrival = 0.0;
     double victim_slew = ref_slew;
-    const bool is_input_port = block.find_port(net) != nullptr &&
-                               block.find_port(net)->direction ==
-                                   netlist::PortDirection::kInput;
+    const netlist::Port* port = block.find_port(net);
+    const bool is_input_port =
+        port != nullptr && port->direction == netlist::PortDirection::kInput;
     if (!is_input_port) {
       const PinTiming* sink =
           latest_sink_timing(*ref, block, lib, net, victim_rf);

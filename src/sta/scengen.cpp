@@ -154,9 +154,11 @@ ScenarioSpace make_scenario_space(
     double v_slew = 0.0;
     bool v_ok = false;
     std::string v_pin;
-    for (const auto& ref : netlist.pins_on_net(victim)) {
-      if (drives(*ref.instance, ref.pin)) continue;
-      std::string vertex = ref.instance->name + "/" + ref.pin;
+    for (const int32_t p : netlist.net_pins(cand.victim_net)) {
+      const auto& inst = netlist.pin_owner(p);
+      const std::string& pin = netlist.pin_name(p);
+      if (drives(inst, pin)) continue;
+      std::string vertex = inst.name + "/" + pin;
       const PinId id = sta.find_pin(vertex);
       if (!id.valid()) continue;
       const auto& t = sta.timing(id, victim_rf);
@@ -187,10 +189,10 @@ ScenarioSpace make_scenario_space(
         hi = std::max(hi, t.arrival + t.slew);
       }
     };
-    for (const auto& ref : netlist.pins_on_net(aggressor)) {
-      widen(ref.instance->name + "/" + ref.pin);
+    for (const int32_t p : netlist.net_pins(cand.aggressor_net)) {
+      widen(netlist.pin_owner(p).name + "/" + netlist.pin_name(p));
     }
-    if (netlist.is_interface_net(aggressor)) widen(aggressor);
+    if (netlist.port_of_net(cand.aggressor_net) >= 0) widen(aggressor);
     if (!(lo <= hi)) continue;  // aggressor never switches in this corner
     ScenarioPair pair;
     pair.victim_net = cand.victim_net;
