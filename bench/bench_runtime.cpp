@@ -6,11 +6,10 @@
 // (sensitivity-based methods cost more, roughly linearly in P) are the
 // reproducible shape.
 //
-// Production-scale additions: full-netlist propagation cost at 1..N
-// threads (level-parallel engine), and a 64-noise-scenario sweep run
-// the naive way (sequential loop of engine runs) vs. batched
-// (ScenarioBatch: one levelized pass, scenario×vertex fan-out, shared
-// Γeff memo).  After the google-benchmark tables, a summary section
+// Production-scale additions: full-netlist run() cost, and a
+// 64-noise-scenario sweep run the naive way (sequential loop of engine
+// runs) vs. batched (StaEngine::sweep: one task per point, shared Γeff
+// memo).  After the google-benchmark tables, a summary section
 // prints the measured speedups and verifies looped and batched sweeps
 // produce identical timing results.
 
@@ -37,7 +36,6 @@
 #include "interconnect/coupled.hpp"
 #include "netlist/generators.hpp"
 #include "noise/scenario.hpp"
-#include "sta/batch.hpp"
 #include "sta/edits.hpp"
 #include "sta/engine.hpp"
 #include "sta/hiergraph.hpp"
@@ -277,7 +275,7 @@ BENCHMARK(kernel_combine_scalar)->Unit(benchmark::kMicrosecond);
 BENCHMARK(kernel_combine_batched)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Full-netlist propagation: level-parallel engine + batched scenarios
+// Full-netlist propagation: serial run() + batched scenario sweeps
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -329,12 +327,11 @@ const StaFixture& sta_fixture() {
   return f;
 }
 
-/// Full engine run (forward + backward) at `threads` worker threads.
+/// Full engine run (forward + backward): one serial level walk.
 void sta_run(benchmark::State& state) {
   const auto& f = sta_fixture();
   st::StaEngine sta(f.netlist, f.lib);
   f.constrain(sta);
-  sta.set_threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     sta.run();
     benchmark::DoNotOptimize(sta.worst_slack());
@@ -364,55 +361,22 @@ void sta_sweep_looped(benchmark::State& state) {
   }
 }
 
-/// Batched sweep: ScenarioBatch, one pass, shared Γeff memo (default
-/// partition-sharded scheduling).  Construction and scenario loading
-/// happen outside the timed loop; run() itself clears the memo, so
-/// every iteration is a cold sweep.
+/// Batched sweep: one StaEngine::sweep, shared Γeff memo.  Construction
+/// and scenario loading happen outside the timed loop; every sweep
+/// builds a fresh memo, so every iteration is a cold sweep.
 void sta_sweep_batched(benchmark::State& state) {
   const auto& f = sta_fixture();
-  const auto scenarios = f.scenarios(static_cast<int>(state.range(0)));
-  st::StaEngine sta(f.netlist, f.lib);
-  f.constrain(sta);
-  st::BatchOptions opt;
-  opt.threads = static_cast<int>(state.range(1));
-  st::ScenarioBatch batch(sta, opt);
-  for (const auto& sc : scenarios) batch.add(sc);
-  for (auto _ : state) {
-    batch.run();
-    double acc = 0.0;
-    for (size_t i = 0; i < batch.size(); ++i) acc += batch.worst_slack(i);
-    benchmark::DoNotOptimize(acc);
-  }
-}
-
-/// Scheduling A/B: the same sweep under (point × partition) coarse
-/// tasks (sharded) vs the legacy per-level (point × vertex) fan-out.
-/// Runs with delta OFF — this benchmark measures full-propagation
-/// scheduling, which baseline+delta would mask.
-void sta_sweep_scheduled(benchmark::State& state, bool shard) {
-  const auto& f = sta_fixture();
-  const auto scenarios = f.scenarios(static_cast<int>(state.range(0)));
   st::StaEngine sta(f.netlist, f.lib);
   f.constrain(sta);
   st::SweepSpec spec;
-  spec.scenarios = scenarios;
+  spec.scenarios = f.scenarios(static_cast<int>(state.range(0)));
   spec.threads = static_cast<int>(state.range(1));
-  spec.shard = shard;
-  spec.delta = false;
   for (auto _ : state) {
-    auto result = sta.sweep(spec);
+    const auto result = sta.sweep(spec);
     double acc = 0.0;
     for (size_t i = 0; i < result.size(); ++i) acc += result.worst_slack(i);
     benchmark::DoNotOptimize(acc);
   }
-}
-
-void sta_sweep_sharded(benchmark::State& state) {
-  sta_sweep_scheduled(state, true);
-}
-
-void sta_sweep_levels(benchmark::State& state) {
-  sta_sweep_scheduled(state, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -700,10 +664,6 @@ void sta_sweep_generated(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(sta_run)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgName("threads")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(sta_sweep_looped)
@@ -712,20 +672,6 @@ BENCHMARK(sta_sweep_looped)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(sta_sweep_batched)
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({64, 4})
-    ->ArgNames({"scenarios", "threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(sta_sweep_sharded)
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({64, 4})
-    ->ArgNames({"scenarios", "threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(sta_sweep_levels)
     ->Args({64, 1})
     ->Args({64, 2})
     ->Args({64, 4})
@@ -765,8 +711,6 @@ double wall_seconds(const std::function<void()>& fn) {
 struct SweepFigures {
   double scenarios_per_sec = 0.0;
   double speedup_vs_looped = 0.0;
-  double sharded_scenarios_per_sec = 0.0;
-  double levels_scenarios_per_sec = 0.0;
   double lane_scenarios_per_sec = 0.0;
   double lane_speedup_vs_scalar = 0.0;
   bool bitwise = false;
@@ -801,11 +745,11 @@ SweepFigures report_sweep_speedups() {
                          waveletic::sta::GammaCache::Stats& stats) {
     st::StaEngine sta(f.netlist, f.lib);
     f.constrain(sta);
-    st::BatchOptions opt;
-    opt.threads = threads;
-    st::ScenarioBatch batch(sta, opt);
-    for (const auto& sc : scenarios) batch.add(sc);
-    const double t = wall_seconds([&] { batch.run(); });
+    st::SweepSpec spec;
+    spec.scenarios = scenarios;
+    spec.threads = threads;
+    st::SweepResult batch;
+    const double t = wall_seconds([&] { batch = sta.sweep(spec); });
     for (size_t i = 0; i < batch.size(); ++i) {
       slack.push_back(batch.worst_slack(i));
     }
@@ -817,42 +761,6 @@ SweepFigures report_sweep_speedups() {
   const double t_batched1 = run_batched(1, batched1_slack, stats1);
   const double t_batchedN =
       run_batched(static_cast<int>(hw), batchedN_slack, statsN);
-
-  // Scheduling A/B on the same workload: (point × partition) coarse
-  // tasks vs the legacy per-level fan-out.  Run with ≥ 4 workers — at
-  // 1 thread both schedules degenerate to the same serial loop, the
-  // difference being measured is barrier overhead vs dependency-
-  // ordered tasks, which only exists with workers.  Best-of-5
-  // interleaved — single wall samples of a ~3 ms sweep are noisier
-  // than the few-percent difference being measured.
-  const size_t ab_threads = std::max<size_t>(hw, 4);
-  std::vector<double> sharded_slack, levels_slack;
-  double t_sharded = std::numeric_limits<double>::infinity();
-  double t_levels = std::numeric_limits<double>::infinity();
-  {
-    st::StaEngine sta(f.netlist, f.lib);
-    f.constrain(sta);
-    st::SweepSpec spec;
-    spec.scenarios = scenarios;
-    spec.threads = static_cast<int>(ab_threads);
-    spec.delta = false;  // the A/B measures full-propagation scheduling
-    auto one = [&](bool shard, std::vector<double>& slack) {
-      spec.shard = shard;
-      st::SweepResult result;
-      const double t = wall_seconds([&] { result = sta.sweep(spec); });
-      if (slack.empty()) {
-        for (size_t i = 0; i < result.size(); ++i) {
-          slack.push_back(result.worst_slack(i));
-        }
-      }
-      return t;
-    };
-    // Interleaved reps so clock/cache drift hits both variants equally.
-    for (int rep = 0; rep < 5; ++rep) {
-      t_levels = std::min(t_levels, one(false, levels_slack));
-      t_sharded = std::min(t_sharded, one(true, sharded_slack));
-    }
-  }
 
   // Endpoint-only result storage at sweep scale: 10k points (50
   // distinct bumps cycled — the Γeff memo absorbs the repeats), chunked
@@ -1140,20 +1048,8 @@ SweepFigures report_sweep_speedups() {
                    gen_identical && compound_identical && lane_identical;
   for (int i = 0; i < kScenarios; ++i) {
     identical = identical && looped_slack[i] == batched1_slack[i] &&
-                looped_slack[i] == batchedN_slack[i] &&
-                looped_slack[i] == sharded_slack[i] &&
-                looped_slack[i] == levels_slack[i];
+                looped_slack[i] == batchedN_slack[i];
   }
-
-  // Single-run thread scaling.
-  auto run_once = [&](int threads) {
-    st::StaEngine sta(f.netlist, f.lib);
-    f.constrain(sta);
-    sta.set_threads(threads);
-    return wall_seconds([&] { sta.run(); });
-  };
-  const double t_run1 = run_once(1);
-  const double t_runN = run_once(static_cast<int>(hw));
 
   std::printf("\n-- scenario-sweep speedup summary (%d scenarios, %zu "
               "hardware threads) --\n",
@@ -1164,17 +1060,6 @@ SweepFigures report_sweep_speedups() {
   std::printf("batched sweep, %2zu threads:       %8.1f ms  (%.2fx vs "
               "looped)\n",
               hw, t_batchedN * 1e3, t_looped / t_batchedN);
-  std::printf("per-level fan-out, %2zu threads:   %8.1f ms  (%.1f "
-              "scenarios/sec)\n",
-              ab_threads, t_levels * 1e3, kScenarios / t_levels);
-  std::printf("partition-sharded, %2zu threads:   %8.1f ms  (%.1f "
-              "scenarios/sec, %.2fx vs per-level)%s\n",
-              ab_threads, t_sharded * 1e3, kScenarios / t_sharded,
-              t_levels / t_sharded,
-              t_sharded <= t_levels ? "" : "  [slower than per-level]");
-  std::printf("single run 1 thread -> %zu threads: %.2f ms -> %.2f ms "
-              "(%.2fx)\n",
-              hw, t_run1 * 1e3, t_runN * 1e3, t_run1 / t_runN);
   std::printf("endpoint-only 10k-point sweep:   %8.1f ms  (%.1f points/sec)\n",
               t_endpoint * 1e3, kEndpointPoints / t_endpoint);
   std::printf("sparse sweep (%zu vertices, %d scenarios, <=2 nets each):\n",
@@ -1243,8 +1128,8 @@ SweepFigures report_sweep_speedups() {
                   static_cast<double>(endpoint_bytes),
               full_bytes >= 10 * endpoint_bytes ? "" : "  [below 10x target]",
               endpoint_worst);
-  std::printf("timing results identical across looped/batched/sharded/"
-              "per-level: %s\n",
+  std::printf("timing results identical across looped/batched/endpoint-"
+              "only/delta/lanes: %s\n",
               identical ? "yes" : "NO — BUG");
 
   // Machine-readable summary for CI trend tracking.
@@ -1264,9 +1149,6 @@ SweepFigures report_sweep_speedups() {
                  "  \"batched_ms\": %.3f,\n"
                  "  \"scenarios_per_sec\": %.1f,\n"
                  "  \"speedup_vs_looped\": %.2f,\n"
-                 "  \"sharded_scenarios_per_sec\": %.1f,\n"
-                 "  \"levelfanout_scenarios_per_sec\": %.1f,\n"
-                 "  \"sharding_speedup_vs_levels\": %.3f,\n"
                  "  \"endpoint_points\": %d,\n"
                  "  \"endpoint_points_per_sec\": %.1f,\n"
                  "  \"endpoint_bytes_per_point\": %zu,\n"
@@ -1282,7 +1164,6 @@ SweepFigures report_sweep_speedups() {
                  "  \"sparse_prune_pruned\": %zu,\n"
                  "  \"sparse_pruned_fraction\": %.4f,\n"
                  "  \"sparse_dirty_vertex_fraction\": %.4f,\n"
-                 "  \"sparse_dirty_partition_fraction\": %.4f,\n"
                  "  \"sparse_bound_mean_gap_ps\": %.2f,\n"
                  "  \"sparse_bitwise_identical\": %s,\n"
                  "  \"gen_candidates\": %llu,\n"
@@ -1325,9 +1206,7 @@ SweepFigures report_sweep_speedups() {
                  "}\n",
                  kScenarios, hw, t_looped * 1e3, t_batched1 * 1e3,
                  t_batchedN * 1e3, kScenarios / t_batchedN,
-                 t_looped / t_batchedN, kScenarios / t_sharded,
-                 kScenarios / t_levels, t_levels / t_sharded,
-                 kEndpointPoints, kEndpointPoints / t_endpoint,
+                 t_looped / t_batchedN, kEndpointPoints, kEndpointPoints / t_endpoint,
                  endpoint_bytes, full_bytes,
                  static_cast<double>(full_bytes) /
                      static_cast<double>(endpoint_bytes),
@@ -1336,7 +1215,6 @@ SweepFigures report_sweep_speedups() {
                  kSparse / t_sparse_pruned, sparse_stats.evaluated,
                  sparse_stats.pruned, sparse_pruned_fraction,
                  sparse_stats.dirty_vertex_fraction,
-                 sparse_stats.dirty_partition_fraction,
                  sparse_stats.mean_bound_gap * 1e12,
                  sparse_identical ? "true" : "false",
                  static_cast<unsigned long long>(gen_space_size),
@@ -1379,8 +1257,6 @@ SweepFigures report_sweep_speedups() {
   SweepFigures figures;
   figures.scenarios_per_sec = kScenarios / t_batchedN;
   figures.speedup_vs_looped = t_looped / t_batchedN;
-  figures.sharded_scenarios_per_sec = kScenarios / t_sharded;
-  figures.levels_scenarios_per_sec = kScenarios / t_levels;
   figures.lane_scenarios_per_sec = kLaneScenarios / t_lane_wide;
   figures.lane_speedup_vs_scalar = lane_speedup;
   figures.bitwise = identical;
@@ -1699,8 +1575,7 @@ void report_kernel_summary(const SweepFigures& sweep) {
                  "  \"propagate_allocs_workspace\": %.1f,\n"
                  "  \"sweep_scenarios_per_sec\": %.1f,\n"
                  "  \"sweep_speedup_vs_looped\": %.2f,\n"
-                 "  \"sweep_sharded_scenarios_per_sec\": %.1f,\n"
-                 "  \"sweep_levelfanout_scenarios_per_sec\": %.1f,\n"
+
                  "  \"sweep_lane_scenarios_per_sec\": %.1f,\n"
                  "  \"sweep_lane_speedup_vs_scalar\": %.2f,\n"
                  "  \"bitwise_identical\": %s\n"
@@ -1718,8 +1593,6 @@ void report_kernel_summary(const SweepFigures& sweep) {
                  lane_bitwise ? "true" : "false", fit_allocs_legacy,
                  fit_allocs_ws, prop_allocs_legacy, prop_allocs_ws,
                  sweep.scenarios_per_sec, sweep.speedup_vs_looped,
-                 sweep.sharded_scenarios_per_sec,
-                 sweep.levels_scenarios_per_sec,
                  sweep.lane_scenarios_per_sec,
                  sweep.lane_speedup_vs_scalar,
                  (sweep.bitwise && lane_bitwise) ? "true" : "false");

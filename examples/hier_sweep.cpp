@@ -41,7 +41,7 @@ int main() {
   const auto lib = cl::build_vcl013_library_fast();
 
   // 1. The block: a small random DAG standing in for a reused layout
-  //    macro (a carved partition works the same — see carve_block).
+  //    macro (a carved instance set works the same — see carve_block).
   const nl::Netlist block = nl::make_random_dag(11, 4, 6, 5);
   std::cout << "block: " << block.instances().size() << " instances, "
             << block.ports().size() << " ports\n";

@@ -115,10 +115,8 @@ int main() {
   std::printf("\nPruneStats: %zu points -> %zu evaluated, %zu pruned, "
               "%zu reused\n",
               ps.points, ps.evaluated, ps.pruned, ps.reused);
-  std::printf("dirty cone: %.1f%% of vertices, %.1f%% of partitions "
-              "(mean over scenarios)\n",
-              ps.dirty_vertex_fraction * 100.0,
-              ps.dirty_partition_fraction * 100.0);
+  std::printf("dirty cone: %.1f%% of vertices (mean over scenarios)\n",
+              ps.dirty_vertex_fraction * 100.0);
   std::printf("bound tightness: mean gap %.1f ps, min gap %.1f ps\n",
               ps.mean_bound_gap * 1e12, ps.min_bound_gap * 1e12);
 

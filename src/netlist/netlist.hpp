@@ -75,9 +75,8 @@ class Netlist {
   /// index.
   [[nodiscard]] int net_ordinal(const std::string& net_name) const noexcept;
   /// Number of connections on a net (instance pins + ports, driver
-  /// included), maintained incrementally — O(1).  This is the
-  /// "low-fanout boundary" metric the STA partitioner cuts at: a net of
-  /// degree ≤ k+1 drives at most k sinks.
+  /// included), maintained incrementally — O(1).  A net of degree
+  /// ≤ k+1 drives at most k sinks.
   [[nodiscard]] int net_degree(int net_ordinal) const noexcept;
   [[nodiscard]] int net_degree(const std::string& net_name) const noexcept;
   /// Ordinal of the port named `port_name` in ports(), or -1.  O(1):

@@ -81,6 +81,45 @@ void append_suggestions(std::ostringstream& os,
   os << ')';
 }
 
+/// The one cross-point scheduler: eval(p, ctx) for every point p, one
+/// ThreadPool::run_graph task per point, with ctx = contexts[p] pointed
+/// at the running worker's arena when `worker_workspaces` is non-empty.
+/// Serial on the caller without a multi-worker pool.
+template <typename Eval>
+void run_points(const char* caller,
+                std::span<const StaEngine::EvalContext> contexts,
+                util::ThreadPool* pool,
+                std::span<wave::Workspace> worker_workspaces,
+                const Eval& eval) {
+  const size_t n_points = contexts.size();
+  if (n_points == 0) return;
+  const size_t pool_workers =
+      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
+  util::require(worker_workspaces.empty() ||
+                    worker_workspaces.size() >= pool_workers,
+                caller, ": need one workspace per pool worker (",
+                worker_workspaces.size(), " < ", pool_workers, ")");
+  auto body = [&](size_t worker, size_t p) {
+    StaEngine::EvalContext task_ctx = contexts[p];
+    if (!worker_workspaces.empty()) {
+      task_ctx.workspace = &worker_workspaces[worker];
+    }
+    eval(p, task_ctx);
+  };
+  if (pool_workers > 1) {
+    // One dependency-free task per point, tiled over the trivial
+    // single-task DAG: the shared ready stack of run_graph dynamically
+    // load-balances unequal per-point work.  A single point goes this
+    // way too: waking the workers now lets them share the caller's
+    // next tasks (a sweep's first wave after its baseline) evenly.
+    static const uint32_t kZeroIndegree[1] = {0};
+    static const std::vector<uint32_t> kNoSuccessors[1] = {{}};
+    pool->run_graph({kZeroIndegree, kNoSuccessors, n_points}, body);
+  } else {
+    for (size_t p = 0; p < n_points; ++p) body(0, p);
+  }
+}
+
 }  // namespace
 
 const char* to_string(RiseFall rf) noexcept {
@@ -414,29 +453,6 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
       g.endpoint_ports.push_back(static_cast<int32_t>(p));
     }
   }
-  // Partition cover for coarse-task sharding: cell arcs always bind
-  // their endpoints; arcs of low-fanout nets are the cut candidates
-  // (cheap boundaries between cones).  Pure function of the graph.
-  const PartitionOptions popt;
-  std::vector<PartitionEdge> pedges;
-  pedges.reserve(g.cell_edges.size() + g.net_edges.size());
-  for (const auto& e : g.cell_edges) {
-    pedges.push_back({e.from, e.to, false});
-  }
-  for (const auto& e : g.net_edges) {
-    // net_degree counts the driver too; `cut_fanout` is in sinks.
-    const bool cut = popt.cut_fanout >= 0 &&
-                     nl.net_degree(e.net) <= popt.cut_fanout + 1;
-    pedges.push_back({e.from, e.to, cut});
-  }
-  g.partitions =
-      PartitionSet::build(g.vertex_names.size(), g.vertex_level, pedges, popt);
-  // Eagerly build the default-threshold schedule so the common
-  // run()/sweep() path never takes the lazy-build lock contended.
-  g.shard_schedules.emplace(
-      kDefaultWidePartitionThreshold,
-      PartitionSchedule::build(g.partitions, g.vertex_level,
-                               kDefaultWidePartitionThreshold));
   return graph;
 }
 
@@ -475,23 +491,6 @@ void StaEngine::levelize(Graph& g) {
     g.levels[static_cast<size_t>(level[v])].push_back(static_cast<int>(v));
   }
   g.vertex_level = std::move(level);
-}
-
-const PartitionSchedule& StaEngine::shard_schedule(
-    size_t wide_threshold) const {
-  // Map nodes are address-stable, so the reference stays valid after
-  // the lock drops; the lock only guards the lazy build against
-  // concurrent const evaluations (shared across forks of this graph).
-  std::lock_guard<std::mutex> lock(graph_->shard_schedules_mutex);
-  auto it = graph_->shard_schedules.find(wide_threshold);
-  if (it == graph_->shard_schedules.end()) {
-    it = graph_->shard_schedules
-             .emplace(wide_threshold,
-                      PartitionSchedule::build(partitions_, vertex_level_,
-                                               wide_threshold))
-             .first;
-  }
-  return it->second;
 }
 
 void StaEngine::compute_loads() {
@@ -707,10 +706,7 @@ std::vector<const NoiseAnnotation*> StaEngine::compile_edge_annotations(
   return table;
 }
 
-void StaEngine::set_threads(int threads) {
-  threads_ = threads;
-  pool_.reset();
-}
+void StaEngine::set_threads(int threads) { threads_ = threads; }
 
 void StaEngine::prepare() { compute_loads(); }
 
@@ -848,30 +844,22 @@ void StaEngine::noisy_fit(const NetEdge& e, size_t edge_index,
     mi.in_polarity = pol;
     mi.out_polarity = out_pol;
     mi.vdd = vdd;
-    mi.workspace = ctx.workspace;
-    // The noiseless pair is synthesized into the worker's arena
-    // when one is available (zero heap traffic); the legacy path
-    // materializes owning Waveforms.  Same formulas either way.
+    // The noiseless pair is synthesized into the worker's arena (zero
+    // heap traffic once warm), or into a local one when the caller
+    // supplied none — the fallback core::MethodInput::scratch() uses.
+    wave::Workspace local;
+    wave::Workspace& ws = ctx.workspace != nullptr ? *ctx.workspace : local;
+    mi.workspace = &ws;
+    const wave::Workspace::Scope ws_scope(ws);
     constexpr size_t kCleanSamples = 192;
-    std::optional<wave::Workspace::Scope> ws_scope;
-    wave::Waveform clean_in_owned, clean_out_owned;
-    if (ctx.workspace != nullptr) {
-      auto& ws = *ctx.workspace;
-      ws_scope.emplace(ws);
-      const auto t_in = ws.alloc(kCleanSamples);
-      const auto v_in = ws.alloc(kCleanSamples);
-      clean_ramp.denormalized_into(pol, t_in, v_in);
-      mi.noiseless_in_view = wave::WaveView(t_in, v_in);
-      const auto t_out = ws.alloc(kCleanSamples);
-      const auto v_out = ws.alloc(kCleanSamples);
-      out_ramp.denormalized_into(out_pol, t_out, v_out);
-      mi.noiseless_out_view = wave::WaveView(t_out, v_out);
-    } else {
-      clean_in_owned = clean_ramp.denormalized(pol, kCleanSamples);
-      clean_out_owned = out_ramp.denormalized(out_pol, kCleanSamples);
-      mi.noiseless_in = &clean_in_owned;
-      mi.noiseless_out = &clean_out_owned;
-    }
+    const auto t_in = ws.alloc(kCleanSamples);
+    const auto v_in = ws.alloc(kCleanSamples);
+    clean_ramp.denormalized_into(pol, t_in, v_in);
+    mi.noiseless_in_view = wave::WaveView(t_in, v_in);
+    const auto t_out = ws.alloc(kCleanSamples);
+    const auto v_out = ws.alloc(kCleanSamples);
+    out_ramp.denormalized_into(out_pol, t_out, v_out);
+    mi.noiseless_out_view = wave::WaveView(t_out, v_out);
     const auto fit = ctx.method->fit(mi);
     arrival = fit.ramp.t50();
     slew = fit.ramp.slew();
@@ -936,160 +924,33 @@ void StaEngine::backward_vertex(int v, TimingState& state) const {
   }
 }
 
-void StaEngine::evaluate(TimingState& state, const EvalContext& ctx,
-                         util::ThreadPool* pool,
-                         std::span<wave::Workspace> worker_workspaces) const {
+void StaEngine::evaluate(TimingState& state, const EvalContext& ctx) const {
   util::require(ctx.method != nullptr, "evaluate: null noise method");
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(worker_workspaces.empty() ||
-                    worker_workspaces.size() >= pool_workers,
-                "evaluate: need one workspace per pool worker (",
-                worker_workspaces.size(), " < ", pool_workers, ")");
-  // Serial fallbacks run as "worker 0".
-  EvalContext serial_ctx = ctx;
-  if (!worker_workspaces.empty()) {
-    serial_ctx.workspace = &worker_workspaces[0];
-  }
   init_state(state);
   for (const auto& level : levels_) {
-    if (pool != nullptr && pool->size() > 1 && level.size() > 1) {
-      pool->parallel_for(level.size(), [&](size_t worker, size_t i) {
-        EvalContext task_ctx = ctx;
-        if (!worker_workspaces.empty()) {
-          task_ctx.workspace = &worker_workspaces[worker];
-        }
-        forward_vertex(level[i], state, task_ctx);
-      });
-    } else {
-      for (const int v : level) forward_vertex(v, state, serial_ctx);
-    }
+    for (const int v : level) forward_vertex(v, state, ctx);
   }
   for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-    const auto& level = *it;
-    if (pool != nullptr && pool->size() > 1 && level.size() > 1) {
-      pool->parallel_for(level.size(),
-                         [&](size_t i) { backward_vertex(level[i], state); });
-    } else {
-      for (const int v : level) backward_vertex(v, state);
-    }
+    for (const int v : *it) backward_vertex(v, state);
   }
 }
 
-void StaEngine::evaluate_points(std::span<TimingState> states,
-                                std::span<const EvalContext> contexts,
-                                util::ThreadPool* pool,
-                                std::span<wave::Workspace> worker_workspaces,
-                                bool shard, size_t wide_threshold) const {
+void StaEngine::evaluate_points(
+    std::span<TimingState> states, std::span<const EvalContext> contexts,
+    util::ThreadPool* pool,
+    std::span<wave::Workspace> worker_workspaces) const {
   util::require(states.size() == contexts.size(),
                 "evaluate_points: ", states.size(), " states vs ",
                 contexts.size(), " contexts");
-  const size_t n_points = states.size();
-  if (n_points == 0) return;
-  for (const auto& ctx : contexts) {
-    util::require(ctx.method != nullptr, "evaluate_points: null noise method");
-  }
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(worker_workspaces.empty() ||
-                    worker_workspaces.size() >= pool_workers,
-                "evaluate_points: need one workspace per pool worker (",
-                worker_workspaces.size(), " < ", pool_workers, ")");
-  for (size_t p = 0; p < n_points; ++p) init_state(states[p]);
-
-  const bool threaded = pool != nullptr && pool->size() > 1;
-
-  if (!shard) {
-    // Legacy per-level (point × vertex) fan-out: a barrier per level.
-    for (const auto& level : levels_) {
-      const size_t m = level.size();
-      auto body = [&](size_t worker, size_t idx) {
-        const size_t p = idx / m;
-        const int v = level[idx % m];
-        EvalContext task_ctx = contexts[p];
-        if (!worker_workspaces.empty()) {
-          task_ctx.workspace = &worker_workspaces[worker];
-        }
-        forward_vertex(v, states[p], task_ctx);
-      };
-      if (threaded) {
-        pool->parallel_for(m * n_points, body);
-      } else {
-        for (size_t i = 0; i < m * n_points; ++i) body(0, i);
-      }
-    }
-    for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-      const auto& level = *it;
-      const size_t m = level.size();
-      auto body = [&](size_t idx) {
-        backward_vertex(level[idx % m], states[idx / m]);
-      };
-      if (threaded) {
-        pool->parallel_for(m * n_points, body);
-      } else {
-        for (size_t i = 0; i < m * n_points; ++i) body(i);
-      }
-    }
-    return;
-  }
-
-  // Partition-sharded: one coarse task per (point, partition chunk),
-  // dependency-ordered — no level barriers, no per-point barriers.  A
-  // point can be finishing its cone while another is still at the
-  // inputs; narrow shards no longer starve the pool.
-  const PartitionSchedule& sched = shard_schedule(wide_threshold);
-  const auto& order = sched.order();
-  const auto& tasks = sched.tasks();
-  const size_t n_tasks = tasks.size();
-  auto forward_task = [&](size_t worker, size_t task) {
-    const size_t p = task / n_tasks;
-    const ShardTask& t = tasks[task % n_tasks];
-    EvalContext task_ctx = contexts[p];
-    if (!worker_workspaces.empty()) {
-      task_ctx.workspace = &worker_workspaces[worker];
-    }
-    for (uint32_t i = t.begin; i < t.end; ++i) {
-      forward_vertex(order[i], states[p], task_ctx);
-    }
-  };
-  auto backward_task = [&](size_t, size_t task) {
-    const size_t p = task / n_tasks;
-    const ShardTask& t = tasks[task % n_tasks];
-    for (uint32_t i = t.end; i > t.begin; --i) {
-      backward_vertex(order[i - 1], states[p]);
-    }
-  };
-  if (threaded) {
-    pool->run_graph({sched.indegree(), sched.successors(), n_points},
-                    forward_task);
-    pool->run_graph({sched.rev_indegree(), sched.rev_successors(), n_points},
-                    backward_task);
-  } else {
-    // Serial: the precomputed topological task order forwards, its
-    // reverse backwards (both valid; order never changes results).
-    // One context per point, hoisted out of the task loop.
-    const auto& so = sched.serial_order();
-    for (size_t p = 0; p < n_points; ++p) {
-      EvalContext point_ctx = contexts[p];
-      if (!worker_workspaces.empty()) {
-        point_ctx.workspace = &worker_workspaces[0];
-      }
-      for (const uint32_t t : so) {
-        const ShardTask& task = tasks[t];
-        for (uint32_t i = task.begin; i < task.end; ++i) {
-          forward_vertex(order[i], states[p], point_ctx);
-        }
-      }
-    }
-    for (size_t p = 0; p < n_points; ++p) {
-      for (auto it = so.rbegin(); it != so.rend(); ++it) {
-        const ShardTask& task = tasks[*it];
-        for (uint32_t i = task.end; i > task.begin; --i) {
-          backward_vertex(order[i - 1], states[p]);
-        }
-      }
-    }
-  }
+  // Allocate every state here, on the caller: storage a worker allocates
+  // lands in that thread's malloc arena, which makes the process's peak
+  // memory depend on which worker ran which point.  evaluate() then
+  // refills the state in place.
+  for (auto& state : states) state.reserve(vertex_names_.size());
+  run_points("evaluate_points", contexts, pool, worker_workspaces,
+             [&](size_t p, const EvalContext& ctx) {
+               evaluate(states[p], ctx);
+             });
 }
 
 StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
@@ -1175,15 +1036,6 @@ StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
   by_level(plan.forward, /*descending=*/false);
   by_level(plan.backward, /*descending=*/true);
 
-  // Cone ∩ partition membership: the partitions a delta actually
-  // touches.  Everything else is skipped entirely.
-  std::vector<char> part_dirty(partitions_.size(), 0);
-  for (const int v : plan.forward) {
-    part_dirty[static_cast<size_t>(partitions_.partition_of(v))] = 1;
-  }
-  for (size_t k = 0; k < part_dirty.size(); ++k) {
-    if (part_dirty[k]) plan.partitions.push_back(static_cast<uint32_t>(k));
-  }
   for (size_t e = 0; e < endpoint_ports_.size(); ++e) {
     const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
     if (dirty[static_cast<size_t>(v)]) {
@@ -1360,31 +1212,10 @@ void StaEngine::evaluate_points_delta(
                 "evaluate_points_delta: ", states.size(), " states vs ",
                 contexts.size(), " contexts vs ", baselines.size(),
                 " baselines vs ", plans.size(), " plans");
-  const size_t n_points = states.size();
-  if (n_points == 0) return;
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(worker_workspaces.empty() ||
-                    worker_workspaces.size() >= pool_workers,
-                "evaluate_points_delta: need one workspace per pool worker (",
-                worker_workspaces.size(), " < ", pool_workers, ")");
-  auto body = [&](size_t worker, size_t p) {
-    EvalContext task_ctx = contexts[p];
-    if (!worker_workspaces.empty()) {
-      task_ctx.workspace = &worker_workspaces[worker];
-    }
-    evaluate_delta(states[p], *baselines[p], *plans[p], task_ctx);
-  };
-  if (pool != nullptr && pool->size() > 1 && n_points > 1) {
-    // One dependency-free task per point, tiled over the trivial
-    // single-task DAG: the shared ready stack of run_graph dynamically
-    // load-balances the unbalanced dirty worklists.
-    static const uint32_t kZeroIndegree[1] = {0};
-    static const std::vector<uint32_t> kNoSuccessors[1] = {{}};
-    pool->run_graph({kZeroIndegree, kNoSuccessors, n_points}, body);
-  } else {
-    for (size_t p = 0; p < n_points; ++p) body(0, p);
-  }
+  run_points("evaluate_points_delta", contexts, pool, worker_workspaces,
+             [&](size_t p, const EvalContext& ctx) {
+               evaluate_delta(states[p], *baselines[p], *plans[p], ctx);
+             });
 }
 
 void StaEngine::run() {
@@ -1395,25 +1226,11 @@ void StaEngine::run() {
   ctx.corner = corner_ ? &*corner_ : nullptr;
   ctx.corner_key = corner_ ? corner_->key() : 0;
   ctx.method = noise_method_.get();
-  ctx.cache = nullptr;
-  const int want = threads_ <= 0
-                       ? static_cast<int>(util::ThreadPool::hardware_threads())
-                       : threads_;
-  if (want > 1 && (pool_ == nullptr ||
-                   pool_->size() != static_cast<size_t>(want))) {
-    pool_ = std::make_unique<util::ThreadPool>(want);
-  }
-  // One scratch arena per pool worker, retained across runs: the first
-  // run warms the slabs, every later run propagates allocation-free.
-  const size_t want_ws = want > 1 ? static_cast<size_t>(want) : 1;
-  if (workspaces_.size() < want_ws) {
-    workspaces_.resize(want_ws);
-  }
-  // Even the single run() point schedules (point × partition) coarse
-  // tasks: independent cones propagate concurrently with no level
-  // barriers (bitwise identical to the per-level path).
-  evaluate_points({&state_, 1}, {&ctx, 1},
-                  want > 1 ? pool_.get() : nullptr, workspaces_);
+  // One point, one serial walk.  The arena is retained across runs: the
+  // first run warms its slabs, every later run is allocation-free.
+  if (workspaces_.empty()) workspaces_.resize(1);
+  ctx.workspace = &workspaces_[0];
+  evaluate(state_, ctx);
   analyzed_ = true;
 }
 

@@ -21,14 +21,13 @@
 /// characterization is needed — the paper's compatibility claim.
 ///
 /// Propagation is *levelized*: topological levels are computed once at
-/// construction and stored on the graph.  Every vertex in a level
-/// depends only on strictly lower levels, so a level's vertices can be
-/// processed in parallel; each vertex folds its incoming edges in a
-/// fixed order, which makes results bitwise-identical at any thread
-/// count.  The timing state lives in a separate TimingState object, so
-/// a prepared engine can evaluate many (noise scenario × corner) points
-/// concurrently through the const, reentrant evaluate() path (see
-/// sweep.hpp).
+/// construction and stored on the graph.  Every vertex depends only on
+/// strictly lower levels and folds its incoming edges in a fixed order,
+/// so a full evaluation is one serial walk over the levels.  The timing
+/// state lives in a separate TimingState object, so a prepared engine
+/// can evaluate many (noise scenario × corner) points concurrently —
+/// one task per point — through the const, reentrant evaluate() path
+/// (see sweep.hpp); results are bitwise identical at any thread count.
 ///
 /// Handle-based API: names are resolved ONCE to PinId / NetId / PortId
 /// handles (pin(), net(), port()), and the primary overloads of every
@@ -44,7 +43,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -54,7 +52,6 @@
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/ids.hpp"
-#include "sta/partition.hpp"
 #include "util/error.hpp"
 #include "util/ordinal_index.hpp"
 #include "wave/kernels.hpp"
@@ -125,6 +122,9 @@ class TimingState {
     return v_[i];
   }
   void reset(size_t vertices) { v_.assign(vertices, VertexTiming{}); }
+  /// Allocates room for `vertices` without changing the contents, so a
+  /// later reset() or copy into this state does not touch the heap.
+  void reserve(size_t vertices) { v_.reserve(vertices); }
 
  private:
   std::vector<VertexTiming> v_;
@@ -135,7 +135,7 @@ class StaEngine {
   /// Both netlist and library must outlive the engine, and the netlist
   /// must not be modified afterwards (handles index its net/port order).
   StaEngine(const netlist::Netlist& nl, const liberty::Library& lib);
-  ~StaEngine();  // out of line: ThreadPool is forward-declared
+  ~StaEngine();
 
   // -- handle resolution ---------------------------------------------------
   // Resolve once, then run dense.  All three throw util::Error for
@@ -220,8 +220,10 @@ class StaEngine {
   }
 
   // -- analysis ------------------------------------------------------------
-  /// Number of worker threads used by run() for level-parallel
-  /// propagation (≤ 0 selects the hardware concurrency; default 1).
+  /// Records a thread count and copies it to forks.  It changes no
+  /// schedule: run() evaluates its single point serially (a serial
+  /// level walk beats every threaded schedule of one point), and
+  /// sweeps take their thread count from SweepSpec::threads.
   void set_threads(int threads);
 
   /// Runs forward (arrival) and backward (required) propagation under
@@ -229,9 +231,8 @@ class StaEngine {
   void run();
 
   /// Sweeps the cross product of spec.corners × spec.scenarios over
-  /// this engine in ONE levelized pass (defined in sweep.cpp; include
-  /// sweep.hpp for SweepSpec/SweepResult).  run() and ScenarioBatch are
-  /// the 1×1 and 1×N specializations of this surface.
+  /// this engine (defined in sweep.cpp; include sweep.hpp for
+  /// SweepSpec/SweepResult).
   [[nodiscard]] SweepResult sweep(const SweepSpec& spec);
 
   /// Streams a lazily generated scenario space (feasibility-filtered
@@ -273,7 +274,7 @@ class StaEngine {
   // A prepared engine is immutable during evaluation, so many sweep
   // points can be evaluated concurrently over the same graph, each with
   // its own TimingState.  run() is implemented on top of this path;
-  // sweep() drives it for corners × scenarios in one levelized pass.
+  // sweep() drives it for corners × scenarios.
 
   /// Inputs of one evaluation.  `edge_noise` is a compiled per-net-edge
   /// annotation pointer array (compile_edge_annotations(); null = no
@@ -286,8 +287,8 @@ class StaEngine {
   /// evaluation — Γeff fits draw their sampling buffers from it, so a
   /// warmed workspace makes the propagation hot path allocation-free.
   /// MUST be owned by exactly one worker (run()/sweep() keep one per
-  /// ThreadPool worker and patch it per task); null selects the legacy
-  /// allocating path.  Results are bitwise identical either way.
+  /// ThreadPool worker and patch it per task); null makes each fit use
+  /// a local arena.  Results are bitwise identical either way.
   struct EvalContext {
     const NoiseAnnotation* const* edge_noise = nullptr;
     const Corner* corner = nullptr;
@@ -319,23 +320,6 @@ class StaEngine {
     return vertex_level_;
   }
 
-  /// The partition cover of the timing graph, computed once at
-  /// construction: the graph cut at low-fanout net boundaries
-  /// (union-find over the edge list) into independent shards with a
-  /// partition-level dependency DAG and a frontier-interface vertex
-  /// set.  Partitioning is a pure function of the graph — it never
-  /// affects results, only scheduling.
-  [[nodiscard]] const PartitionSet& partitions() const noexcept {
-    return partitions_;
-  }
-  /// The per-point shard schedule for a given wide-partition threshold
-  /// (partitions wider than it fall back to per-level chunk tasks).
-  /// The default threshold's schedule is built at construction;
-  /// other thresholds are built lazily, cached per threshold, under a
-  /// lock — safe from concurrent const evaluations.
-  [[nodiscard]] const PartitionSchedule& shard_schedule(
-      size_t wide_threshold = kDefaultWidePartitionThreshold) const;
-
   /// Resets `state` and applies the input/required constraints.
   void init_state(TimingState& state) const;
   /// Folds all incoming edges of vertex `v` (fixed order → deterministic).
@@ -344,31 +328,26 @@ class StaEngine {
   /// Propagates required times backwards through the outgoing edges of
   /// `v`.  Requires every higher-level vertex of `state` to be final.
   void backward_vertex(int v, TimingState& state) const;
-  /// Full forward + backward sweep of one point into `state`,
-  /// level-parallel when `pool` is given.  prepare() must have run.
-  /// When `worker_workspaces` is non-empty (it must then hold at least
-  /// pool->size() arenas, or 1 without a pool), every task runs with
-  /// ctx.workspace pointed at its worker's arena; empty leaves
-  /// ctx.workspace untouched (legacy path).
-  void evaluate(TimingState& state, const EvalContext& ctx,
-                util::ThreadPool* pool = nullptr,
-                std::span<wave::Workspace> worker_workspaces = {}) const;
+  /// The one full evaluation: init_state(), then a serial forward
+  /// walk over levels() and a backward walk in reverse, under `ctx`
+  /// (its workspace included).  prepare() must have run.
+  void evaluate(TimingState& state, const EvalContext& ctx) const;
 
-  /// Evaluates many points concurrently over the same prepared graph.
-  /// contexts[p] describes point p and states[p] receives its result
-  /// (init_state is applied here).  With `shard` set, (point ×
-  /// partition) coarse tasks run dependency-ordered on the pool
-  /// (ThreadPool::run_graph) with per-level chunking only inside
-  /// partitions wider than `wide_threshold`; without it, the legacy
-  /// per-level (point × vertex) fan-out runs instead.  Both paths are
-  /// bitwise identical to each other and to serial evaluate() loops:
-  /// every vertex folds its in-edges exactly once, in the same fixed
-  /// order, after all of its predecessors.
+  /// Evaluates many points over the same prepared graph: contexts[p]
+  /// describes point p and states[p] receives its evaluate() result.
+  /// Points are independent, so each is one task on the pool
+  /// (ThreadPool::run_graph) — the scheduler evaluate_points_delta()
+  /// uses too.  When `worker_workspaces` is non-empty (it must then
+  /// hold at least pool->size() arenas, or 1 without a pool), every
+  /// task runs with ctx.workspace pointed at its worker's arena.  The
+  /// states' storage is allocated on the calling thread before any task
+  /// runs, so peak memory does not depend on which worker ran which
+  /// point.
+  /// Bitwise identical to a loop of serial evaluate() calls.
   void evaluate_points(
       std::span<TimingState> states, std::span<const EvalContext> contexts,
       util::ThreadPool* pool = nullptr,
-      std::span<wave::Workspace> worker_workspaces = {}, bool shard = true,
-      size_t wide_threshold = kDefaultWidePartitionThreshold) const;
+      std::span<wave::Workspace> worker_workspaces = {}) const;
 
   // -- baseline + delta propagation ----------------------------------------
   // The paper's central observation: a noise bump perturbs timing only
@@ -394,13 +373,6 @@ class StaEngine {
     /// change only inside the cone, but required times bleed upstream
     /// of it.
     std::vector<int> backward;
-    /// Partitions (PartitionSet ordinals) owning at least one dirty
-    /// vertex, ascending: the cone intersected with partition
-    /// membership.  Metadata (PruneStats reporting, future
-    /// partition-level scheduling) — the skipping itself happens
-    /// through the vertex worklists, which simply never visit a
-    /// partition not listed here.
-    std::vector<uint32_t> partitions;
     /// Endpoint ordinals (indices into endpoint_ports()) whose vertex
     /// is dirty: the only endpoints whose timing can differ from the
     /// corner baseline.  Empty means every endpoint summary of the
@@ -464,7 +436,7 @@ class StaEngine {
   /// either engine interchangeable (same graph tag).  The fork copies
   /// constraints, parasitics, annotations, loads, corner and thread
   /// count, clones the noise method, and starts unanalyzed with its
-  /// own empty state/pool/workspaces.
+  /// own empty state/workspaces.
   [[nodiscard]] std::unique_ptr<StaEngine> fork() const;
   /// Copies `other`'s configuration (constraints, loads, parasitics,
   /// annotations, corner, method, threads) onto this engine across a
@@ -501,11 +473,10 @@ class StaEngine {
 
   /// Evaluates many scenario points as deltas against per-point corner
   /// baselines: point p copies *baselines[p] and re-propagates
-  /// *plans[p] under contexts[p].  Points are independent, so they run
-  /// as one flat task DAG on the pool (ThreadPool::run_graph): the
-  /// dirty worklists are unbalanced, and the shared ready stack
-  /// load-balances them across workers.  Results are bitwise identical
-  /// to evaluate_points() with the same contexts at any thread count.
+  /// *plans[p] under contexts[p].  Scheduled like evaluate_points() —
+  /// one task per point, and the shared ready stack load-balances the
+  /// unbalanced dirty worklists.  Results are bitwise identical to
+  /// evaluate_points() with the same contexts at any thread count.
   void evaluate_points_delta(
       std::span<TimingState> states, std::span<const EvalContext> contexts,
       std::span<const TimingState* const> baselines,
@@ -558,7 +529,8 @@ class StaEngine {
   /// bit for bit.  `lanes` must be 1 or 4; 1 runs the W=1 oracle
   /// instantiation of the block walker (available on every build),
   /// 4 requires AVX2 (wave::lane_width_available(4)) and throws
-  /// util::Error otherwise.  Blocks run as independent pool tasks; the
+  /// util::Error otherwise.  Blocks run as independent pool tasks, into
+  /// states allocated on the calling thread as in evaluate_points(); the
   /// W=1 instantiation of the block walker is the oracle the W=4 path
   /// must match bitwise (asserted by tests/test_lanes.cpp and the
   /// bench `bitwise_identical` flag).
@@ -695,14 +667,9 @@ class StaEngine {
     std::vector<std::vector<int>> levels;
     std::vector<int> vertex_level;
     std::vector<int32_t> endpoint_ports;
-    PartitionSet partitions;
-    /// Lazily built shard schedules keyed by wide-partition threshold;
-    /// mutable behind the mutex so const forks share the cache.
-    mutable std::map<size_t, PartitionSchedule> shard_schedules;
-    mutable std::mutex shard_schedules_mutex;
   };
-  /// Builds the structure layer (validate + vertices + edges + levels +
-  /// partitions) — the expensive part of construction that forks skip.
+  /// Builds the structure layer (validate + vertices + edges + levels)
+  /// — the expensive part of construction that forks skip.
   [[nodiscard]] static std::shared_ptr<const Graph> make_graph(
       const netlist::Netlist& nl, const liberty::Library& lib);
   static void levelize(Graph& g);
@@ -783,7 +750,6 @@ class StaEngine {
   const std::vector<std::vector<int>>& levels_ = graph_->levels;
   const std::vector<int>& vertex_level_ = graph_->vertex_level;
   const std::vector<int32_t>& endpoint_ports_ = graph_->endpoint_ports;
-  const PartitionSet& partitions_ = graph_->partitions;
 
   std::map<int, std::array<InputConstraint, 2>> input_constraints_;
   std::map<int, double> required_;
@@ -803,11 +769,11 @@ class StaEngine {
   std::shared_ptr<const char> liveness_ = std::make_shared<const char>('e');
 
   TimingState state_;  ///< default state written by run()
-  int threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;
+  int threads_ = 1;  ///< set_threads(); schedules nothing (see there)
   /// Per-ThreadPool-worker scratch arenas reused across run()/sweep()
   /// calls; slabs warm up once and every later propagation is
-  /// allocation-free.  workspaces_[w] belongs to pool worker w.
+  /// allocation-free.  workspaces_[w] belongs to pool worker w; run()
+  /// uses workspaces_[0].
   std::vector<wave::Workspace> workspaces_;
   bool analyzed_ = false;
 };

@@ -215,6 +215,10 @@ void StaEngine::evaluate_points_delta_lanes(
       "evaluate_points_delta_lanes: need one workspace per pool worker (",
       worker_workspaces.size(), " < ", pool_workers, ")");
 
+  // Allocated here, on the caller, for the reason evaluate_points() gives:
+  // a wave of a few blocks on many workers otherwise spreads its states
+  // over the workers' malloc arenas differently from run to run.
+  for (auto& state : states) state.reserve(vertex_names_.size());
   const auto blocks = group_lane_blocks(contexts, baselines, plans, lanes);
   std::vector<LaneScratch> scratch(pool_workers);
   auto body = [&](size_t worker, size_t bi) {

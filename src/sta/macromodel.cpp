@@ -339,23 +339,4 @@ netlist::Netlist carve_block(const netlist::Netlist& design,
   return block;
 }
 
-std::vector<std::string> partition_instances(const StaEngine& sta,
-                                             size_t partition) {
-  const PartitionSet& parts = sta.partitions();
-  if (partition >= parts.size()) {
-    throw std::out_of_range("partition_instances: partition " +
-                            std::to_string(partition) + " out of range");
-  }
-  std::vector<std::string> names;
-  for (int v : parts.vertices(partition)) {
-    const std::string& name = sta.vertex_name(static_cast<size_t>(v));
-    const size_t slash = name.rfind('/');
-    if (slash == std::string::npos) continue;  // port vertex
-    names.push_back(name.substr(0, slash));
-  }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  return names;
-}
-
 }  // namespace waveletic::sta

@@ -69,8 +69,9 @@ struct BlockModelOptions {
   wave::Polarity noise_polarity = wave::Polarity::kFalling;
   /// Sample count of the synthesized probe waveform.
   size_t waveform_samples = 512;
-  /// Threads used by the characterization runs (1 = serial; the grid is
-  /// deterministic at any value).
+  /// Recorded on the prototype engine (StaEngine::set_threads) and
+  /// changes no schedule: every characterization run() is one serial
+  /// walk, which is faster than any threaded one at this block size.
   int threads = 1;
 };
 
@@ -177,13 +178,5 @@ struct BlockModel {
                                            const liberty::Library& lib,
                                            std::span<const std::string> instances,
                                            const std::string& block_name = "block");
-
-/// Instance names of one PartitionSet partition of a prepared engine —
-/// the frontier-interface hook of PR 4: partition `k`'s timing vertices
-/// ("inst/pin" and port names) map back to the netlist instances they
-/// belong to (port vertices are skipped).  Sorted, deduplicated; the
-/// result feeds carve_block() to characterize a partition in place.
-[[nodiscard]] std::vector<std::string> partition_instances(
-    const StaEngine& sta, size_t partition);
 
 }  // namespace waveletic::sta

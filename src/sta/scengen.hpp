@@ -558,10 +558,6 @@ struct GeneratedSweepSpec {
   /// worst slack is carried across chunks through
   /// SweepSpec::prune_seed_slack, so later chunks prune harder.
   PruneMode prune = PruneMode::kSafe;
-  /// Partition-sharded scheduling (SweepSpec::shard).
-  bool shard = true;
-  /// Wide-partition fallback threshold (SweepSpec counterpart).
-  size_t wide_partition_threshold = kDefaultWidePartitionThreshold;
   /// Feasible scenarios materialized per streamed chunk — the peak
   /// resident-scenario bound; 0 selects 512.
   size_t gen_chunk = 0;

@@ -22,9 +22,7 @@ std::string format_prune_stats(const PruneStats& stats) {
   os << "prune_stats: points=" << stats.points
      << " evaluated=" << stats.evaluated << " reused=" << stats.reused
      << " pruned=" << stats.pruned << "\n"
-     << "  dirty_vertex_fraction=" << stats.dirty_vertex_fraction
-     << " dirty_partition_fraction=" << stats.dirty_partition_fraction
-     << "\n"
+     << "  dirty_vertex_fraction=" << stats.dirty_vertex_fraction << "\n"
      << "  mean_bound_gap=" << stats.mean_bound_gap
      << " min_bound_gap=" << stats.min_bound_gap;
   return os.str();
@@ -413,7 +411,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   // buffers from the running worker's arena, so after the slabs warm up
   // the whole sweep propagates without touching the heap.  Arenas are
   // pure scratch — results are bitwise independent of which worker
-  // evaluates which shard.
+  // evaluates which point.
   if (workspaces_.size() < pool->size()) {
     workspaces_.resize(pool->size());
   }
@@ -449,15 +447,15 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   };
 
   if (!spec.delta && !prune) {
-    // Legacy full-graph-per-point paths (SweepSpec::delta == false).
+    // Full evaluate() per point (SweepSpec::delta == false): the oracle
+    // the delta path is tested against.
     r.prune_stats_.evaluated = n_points;
     if (!spec.endpoint_only) {
       // Full mode: every point keeps its TimingState, all evaluated in
-      // one pass of (point × partition) coarse tasks.
+      // one evaluate_points() call.
       r.states_.assign(n_points, TimingState{});
       r.status_.assign(n_points, SweepResult::PointStatus::kFull);
-      evaluate_points(r.states_, contexts, pool, wss, spec.shard,
-                      spec.wide_partition_threshold);
+      evaluate_points(r.states_, contexts, pool, wss);
       return r;
     }
     // Endpoint-only mode: evaluate points in bounded chunks, summarize
@@ -474,7 +472,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       const size_t n = std::min(chunk, n_points - base);
       evaluate_points(std::span<TimingState>(states.data(), n),
                       std::span<const EvalContext>(contexts.data() + base, n),
-                      pool, wss, spec.shard, spec.wide_partition_threshold);
+                      pool, wss);
       for (size_t i = 0; i < n; ++i) summarize(base + i, states[i]);
     }
     return r;
@@ -515,8 +513,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       base_ctx[c].method = method;
       base_ctx[c].cache = r.cache_.get();
     }
-    evaluate_points(owned_baselines, base_ctx, pool, wss, spec.shard,
-                    spec.wide_partition_threshold);
+    evaluate_points(owned_baselines, base_ctx, pool, wss);
   }
   const std::vector<TimingState>& baselines =
       spec.corner_baselines != nullptr ? *spec.corner_baselines
@@ -535,7 +532,6 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     std::map<std::vector<int>, size_t> plan_index;
     std::vector<int> key;
     double cone_frac = 0.0;
-    double part_frac = 0.0;
     for (size_t s = 0; s < n_scenarios; ++s) {
       key.clear();
       for (const auto& entry : scenarios[s]->entries) {
@@ -548,14 +544,9 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       plan_of[s] = it->second;
       cone_frac += static_cast<double>(plans[plan_of[s]].forward.size()) /
                    static_cast<double>(std::max<size_t>(vertex_count(), 1));
-      part_frac +=
-          static_cast<double>(plans[plan_of[s]].partitions.size()) /
-          static_cast<double>(std::max<size_t>(partitions_.size(), 1));
     }
     r.prune_stats_.dirty_vertex_fraction =
         cone_frac / static_cast<double>(n_scenarios);
-    r.prune_stats_.dirty_partition_fraction =
-        part_frac / static_cast<double>(n_scenarios);
   }
 
   // Result storage.
@@ -772,7 +763,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
                             wave_ctx, wave_base, wave_plans, pool, wss);
     } else {
       evaluate_points(std::span<TimingState>(wave_buf.data(), n), wave_ctx,
-                      pool, wss, spec.shard, spec.wide_partition_threshold);
+                      pool, wss);
     }
     for (size_t i = 0; i < n; ++i) {
       const size_t p = wave_points[i];

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file sweep.hpp
-/// The unified sweep surface: one levelized pass over the cross product
-/// of noise scenarios × corner (derate) settings.
+/// The unified sweep surface: one evaluation call over the cross
+/// product of noise scenarios × corner (derate) settings.
 ///
 /// A crosstalk sign-off sweeps many noise scenarios — aggressor
 /// alignments, strengths, switching-window corners — and modern flows
@@ -10,14 +10,9 @@
 /// point as its own engine run repeats the levelized walk N×M times.
 /// StaEngine::sweep(SweepSpec) instead prepares the engine once,
 /// compiles every scenario's annotations into dense per-net-edge
-/// pointer tables, and evaluates all points in ONE pass.  Scheduling is
-/// partition-sharded by default: the timing graph is cut at low-fanout
-/// net boundaries into independent partitions (sta/partition.hpp) and
-/// every (point, partition) shard runs as one coarse dependency-ordered
-/// task on the thread pool — no level barriers, no per-point barriers;
-/// partitions wider than `wide_partition_threshold` fall back to
-/// per-level chunk tasks internally.  `shard = false` selects the
-/// legacy per-level (point × vertex-of-level) fan-out.  All points
+/// pointer tables, and evaluates all points in one call.  Every point
+/// is one task on the thread pool (ThreadPool::run_graph), so points
+/// proceed independently with no barriers between them.  All points
 /// share a thread-safe Γeff memo (GammaCache) keyed on exact inputs +
 /// the corner key, so fits recur at most once per distinct (net edge,
 /// ramp, annotation, corner).
@@ -27,8 +22,8 @@
 /// re-propagates only the transitive fanout cone of its annotated nets
 /// against that baseline — the paper's observation that a noise bump
 /// perturbs timing only through the victim's cone, turned into the
-/// sweep hot path.  Untouched partitions are skipped entirely, and the
-/// unbalanced per-point dirty worklists are load-balanced over
+/// sweep hot path.  Vertices outside the cone are never visited, and
+/// the unbalanced per-point dirty worklists are load-balanced over
 /// ThreadPool::run_graph.  On top of it, SweepSpec::prune ==
 /// PruneMode::kSafe orders points most-critical-first by a conservative
 /// slack lower bound (worst baseline slack inside the cone minus a
@@ -39,18 +34,15 @@
 /// Determinism: points write disjoint TimingStates, each vertex folds
 /// its in-edges in a fixed order after all of its predecessors, and
 /// cache hits return bitwise what the fit would produce — so sweep
-/// results are bitwise identical between sharded and per-level
-/// schedules, between baseline+delta and full per-point propagation,
-/// and to looped single-thread runs, at any thread count.
+/// results are bitwise identical between baseline+delta and full
+/// per-point propagation, at every lane width, and to looped
+/// single-thread runs, at any thread count.
 ///
 /// Result storage: the default keeps a full TimingState per point.  For
 /// sweep-scale point counts (10k+), `endpoint_only = true` keeps only
 /// {worst slack, critical endpoint, arrival at endpoints} per point —
 /// ~vertex_count× less memory — and evaluates points in bounded-size
 /// chunks so transient state stays small too.
-///
-/// ScenarioBatch (batch.hpp) is a compatibility shim over this surface:
-/// a sweep of one nominal corner × N scenarios.
 
 #include <cstdint>
 #include <limits>
@@ -159,8 +151,6 @@ struct PruneStats {
   size_t pruned = 0;
   /// Mean |fanout cone| / vertices over the scenario axis (delta mode).
   double dirty_vertex_fraction = 0.0;
-  /// Mean touched partitions / total partitions over the scenario axis.
-  double dirty_partition_fraction = 0.0;
   /// Bound tightness: mean and minimum of (exact worst slack − bound)
   /// over evaluated points [s].  A negative minimum would mean the
   /// bound was NOT conservative (asserted never to happen in tests).
@@ -171,7 +161,7 @@ struct PruneStats {
 
 /// Renders PruneStats with its canonical field names (points /
 /// evaluated / reused / pruned / dirty_vertex_fraction /
-/// dirty_partition_fraction / mean_bound_gap / min_bound_gap) — the
+/// mean_bound_gap / min_bound_gap) — the
 /// one formatting shared by the examples, bench_runtime and
 /// docs/SWEEP_GUIDE.md, so docs and binaries never drift.
 [[nodiscard]] std::string format_prune_stats(const PruneStats& stats);
@@ -184,8 +174,8 @@ struct SweepSpec {
   /// Noise-scenario axis; empty selects one clean scenario (the
   /// engine-level annotations still apply).
   std::vector<NoiseScenario> scenarios;
-  /// Worker threads for the (point × vertex) fan-out; ≤ 0 selects the
-  /// hardware concurrency.
+  /// Worker threads (one task per point); ≤ 0 selects the hardware
+  /// concurrency.
   int threads = 0;
   /// Share one Γeff memo across all points (recommended; results are
   /// bitwise-identical either way — corner keys keep entries distinct).
@@ -194,13 +184,6 @@ struct SweepSpec {
   const core::EquivalentWaveformMethod* method = nullptr;
   /// External pool to reuse across sweeps; null lets sweep() build one.
   util::ThreadPool* pool = nullptr;
-  /// Partition-sharded scheduling: (point × partition) coarse tasks,
-  /// dependency-ordered, no level barriers.  false selects the legacy
-  /// per-level fan-out.  Results are bitwise identical either way.
-  bool shard = true;
-  /// Partitions wider than this (max vertices on one topological
-  /// level) fall back to per-level chunk tasks internally.
-  size_t wide_partition_threshold = kDefaultWidePartitionThreshold;
   /// Keep only {worst slack, critical endpoint, endpoint arrivals} per
   /// point instead of a full TimingState — ~vertex_count× less result
   /// memory for 10k+-point sweeps.  Full-state accessors (state(),
@@ -212,9 +195,10 @@ struct SweepSpec {
   /// Baseline + delta evaluation: one nominal TimingState per corner,
   /// then every scenario point re-propagates only the transitive fanout
   /// cone of its annotated nets against that baseline (clean vertices
-  /// read baseline values; untouched partitions are skipped entirely).
-  /// Bitwise identical to full per-point propagation — `false` selects
-  /// the legacy full-graph-per-point path (A/B and bench comparisons).
+  /// read baseline values and are never visited).  Bitwise identical
+  /// to full per-point propagation — `false` selects that full-graph
+  /// evaluate() per point: the independent oracle the delta path is
+  /// tested against.
   bool delta = true;
   /// Scenario pruning (see PruneMode).  Works with either `delta`
   /// setting — the corner baselines it needs are computed either way.
@@ -248,7 +232,7 @@ struct SweepSpec {
   /// then skips its own baseline pass — the streaming generated sweep
   /// computes baselines once per corner group and hands them to every
   /// chunk.  Null (default) computes baselines internally.  Size or
-  /// vertex-count mismatches throw util::Error.  Ignored on the legacy
+  /// vertex-count mismatches throw util::Error.  Ignored on the oracle
   /// path (delta == false and prune == kOff), which uses no baselines.
   const std::vector<TimingState>* corner_baselines = nullptr;
 };
@@ -415,8 +399,8 @@ class SweepResult {
   [[nodiscard]] double worst_slack_bound(size_t point) const;
   /// Baseline + delta / pruning counters of the sweep.  Always
   /// populated: with pruning off, evaluated == points and the bound
-  /// fields are zero; on the legacy path (delta AND prune both off) the
-  /// dirty fractions are zero because no cone plans were computed.
+  /// fields are zero; on the oracle path (delta AND prune both off) the
+  /// dirty fraction is zero because no cone plans were computed.
   [[nodiscard]] const PruneStats& prune_stats() const noexcept {
     return prune_stats_;
   }

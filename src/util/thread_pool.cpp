@@ -31,33 +31,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_chunk(size_t worker_index, const Job& job) noexcept {
-  if (job.graph_run != nullptr) {
-    graph_worker(worker_index, *job.graph_run);
-    return;
-  }
-  // Static contiguous partition of [0, n) into size_ chunks.
-  const size_t per = (job.n + size_ - 1) / size_;
-  const size_t begin = std::min(worker_index * per, job.n);
-  const size_t end = std::min(begin + per, job.n);
-  try {
-    if (job.body_worker != nullptr) {
-      for (size_t i = begin; i < end; ++i) {
-        (*job.body_worker)(worker_index, i);
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) (*job.body)(i);
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-}
-
 void ThreadPool::worker_loop(size_t worker_index) {
   uint64_t seen_generation = 0;
   for (;;) {
-    Job job;
+    GraphRun* run = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       start_cv_.wait(lock, [&] {
@@ -65,35 +42,14 @@ void ThreadPool::worker_loop(size_t worker_index) {
       });
       if (shutdown_) return;
       seen_generation = generation_;
-      job = job_;
+      run = run_;
     }
-    run_chunk(worker_index, job);
+    graph_worker(worker_index, *run);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--pending_ == 0) done_cv_.notify_all();
     }
   }
-}
-
-void ThreadPool::parallel_for(size_t n,
-                              const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (size_ == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  dispatch(Job{&body, nullptr, n});
-}
-
-void ThreadPool::parallel_for(
-    size_t n, const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) return;
-  if (size_ == 1 || n == 1) {
-    // Chunk 0 always runs on the calling thread.
-    for (size_t i = 0; i < n; ++i) body(0, i);
-    return;
-  }
-  dispatch(Job{nullptr, &body, n});
 }
 
 void ThreadPool::graph_worker(size_t worker_index, GraphRun& run) noexcept {
@@ -170,33 +126,22 @@ void ThreadPool::run_graph(const TaskGraph& graph,
     }
   }
   require(!run.ready.empty(), "run_graph: no root tasks (dependency cycle)");
-  if (size_ == 1) {
-    // Inline execution on the calling thread, same cancel semantics.
-    graph_worker(0, run);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (first_error_) {
-      auto err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
-    }
-  } else {
-    dispatch(Job{nullptr, nullptr, 0, &run});
-  }
+  dispatch(run);
   require(run.completed == total,
           "run_graph: task graph stalled with ", total - run.completed,
           " tasks blocked (dependency cycle)");
 }
 
-void ThreadPool::dispatch(const Job& job) {
+void ThreadPool::dispatch(GraphRun& run) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job_ = job;
+    run_ = &run;
     first_error_ = nullptr;
-    pending_ = size_ - 1;  // helper chunks; chunk 0 runs here
+    pending_ = size_ - 1;  // helper workers; worker 0 runs here
     ++generation_;
   }
   start_cv_.notify_all();
-  run_chunk(0, job_);
+  graph_worker(0, run);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] { return pending_ == 0; });

@@ -1,16 +1,8 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Small fixed-size thread pool with a blocking parallel_for and a
-/// dependency-ordered run_graph for unbalanced task DAGs.
-///
-/// parallel_for is deliberately work-stealing-free: it splits [0, n)
-/// into `size()` contiguous chunks, one per worker, and blocks until
-/// every chunk has run.  The static partition keeps the execution
-/// schedule independent of runtime timing, which is what lets the
-/// levelized STA propagation produce bitwise-identical results at any
-/// thread count (tasks write disjoint state; ordering within a task is
-/// fixed).
+/// Small fixed-size thread pool with a dependency-ordered run_graph for
+/// unbalanced task DAGs.
 ///
 /// run_graph executes a task DAG (tasks become ready when their
 /// dependencies complete; every worker pulls from one shared ready
@@ -18,8 +10,8 @@
 /// callers whose tasks write disjoint state and read only completed
 /// dependencies: every task sees the same inputs regardless of
 /// interleaving, so results stay bitwise-deterministic even though the
-/// execution order is not.  This is what the partition-sharded STA
-/// sweep uses for its unbalanced (point × partition) shards.
+/// execution order is not.  The STA sweep runs one task per point on
+/// it, so points with unequal dirty cones still keep every worker busy.
 ///
 /// A pool of size 1 runs everything inline on the calling thread and
 /// spawns no workers at all.
@@ -48,20 +40,6 @@ class ThreadPool {
 
   [[nodiscard]] size_t size() const noexcept { return size_; }
 
-  /// Runs body(i) for every i in [0, n); returns when all calls have
-  /// finished.  The first exception thrown by any body is rethrown on
-  /// the calling thread (remaining chunks still run to completion).
-  /// Reentrant calls from inside a body are not supported.
-  void parallel_for(size_t n, const std::function<void(size_t)>& body);
-
-  /// Worker-indexed variant: body(worker, i) where `worker` identifies
-  /// the chunk owner (0 ≤ worker < size(), worker 0 = calling thread).
-  /// Because the partition is static, the (worker, i) pairing is a pure
-  /// function of (n, size()) — callers use it to hand each worker its
-  /// own scratch arena (e.g. wave::Workspace) without synchronization.
-  void parallel_for(size_t n,
-                    const std::function<void(size_t, size_t)>& body);
-
   /// A task DAG: `tiles` independent copies of one dependency
   /// structure.  Task ids are tile * tile_size + local; dependencies
   /// never cross tiles.  The spans must outlive the run_graph call.
@@ -84,7 +62,7 @@ class ThreadPool {
   /// Runs body(worker, task) for every task of `graph`, each after all
   /// of its dependencies have completed; returns when all tasks have
   /// run.  Workers (the caller is worker 0) pull ready tasks from a
-  /// shared stack, so unbalanced shards keep every thread busy.  The
+  /// shared stack, so unbalanced tasks keep every thread busy.  The
   /// first exception cancels the not-yet-started remainder (their
   /// bodies are skipped) and is rethrown on the calling thread.
   /// Throws if the graph never drains (a dependency cycle).
@@ -109,17 +87,11 @@ class ThreadPool {
     std::condition_variable cv;
   };
 
-  struct Job {
-    const std::function<void(size_t)>* body = nullptr;
-    const std::function<void(size_t, size_t)>* body_worker = nullptr;
-    size_t n = 0;
-    GraphRun* graph_run = nullptr;
-  };
-
   void worker_loop(size_t worker_index);
-  void run_chunk(size_t worker_index, const Job& job) noexcept;
   void graph_worker(size_t worker_index, GraphRun& run) noexcept;
-  void dispatch(const Job& job);
+  /// Runs graph_worker(w, run) on every worker w (the caller is worker
+  /// 0), waits for all, and rethrows the first task exception.
+  void dispatch(GraphRun& run);
 
   size_t size_ = 1;
   std::vector<std::thread> workers_;
@@ -127,9 +99,9 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  Job job_;
-  uint64_t generation_ = 0;   ///< bumped per parallel_for to wake workers
-  size_t pending_ = 0;        ///< chunks not yet finished
+  GraphRun* run_ = nullptr;  ///< the run_graph call being dispatched
+  uint64_t generation_ = 0;   ///< bumped per dispatch to wake workers
+  size_t pending_ = 0;        ///< helper workers not yet finished
   bool shutdown_ = false;
   std::exception_ptr first_error_;
 };

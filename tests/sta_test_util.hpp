@@ -5,7 +5,7 @@
 /// netlist constraint helpers, aggressor scenario builders, random
 /// engine fixtures, and the bitwise TimingState comparator with
 /// first-divergence diagnostics.  test_sta_parallel, test_sta_sweep,
-/// test_sta_partition and test_kernels all build on this instead of
+/// test_sta_delta and test_kernels all build on this instead of
 /// copy-pasting their own builders.
 
 #include <gtest/gtest.h>

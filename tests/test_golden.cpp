@@ -164,19 +164,17 @@ Record compute(const lb::Library& lib, const nl::Netlist& net) {
     }
   }
 
-  // Sharded and per-level schedules must agree bitwise; record the
-  // sharded one.
+  // The 2-thread sweep must agree bitwise with a 1-thread one; record
+  // the 2-thread one.
   st::StaEngine sta(net, lib);
   constrain(sta);
-  spec.shard = true;
   const auto result = sta.sweep(spec);
-  spec.shard = false;
   spec.threads = 1;
   const auto oracle = sta.sweep(spec);
   for (size_t p = 0; p < result.size(); ++p) {
     EXPECT_TRUE(tu::states_bitwise_equal(oracle.state(p), result.state(p),
                                          &sta))
-        << "sharded vs per-level divergence at point " << p;
+        << "2-thread vs 1-thread divergence at point " << p;
   }
 
   for (size_t c = 0; c < result.num_corners(); ++c) {

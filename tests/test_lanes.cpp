@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "netlist/generators.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
@@ -460,24 +459,18 @@ TEST(Lanes, SweepRejectsBadLaneWidths) {
   }
 }
 
-TEST(Lanes, BatchForwardsLanesKnob) {
+TEST(Lanes, SweepLanesKnobAutoMatchesScalar) {
   auto f = tu::random_engine(53);
-  const auto scenarios = grouping_scenarios(f);
-  st::BatchOptions scalar_opt;
-  scalar_opt.threads = 1;
-  scalar_opt.lanes = 1;
-  st::ScenarioBatch scalar_batch(*f.sta, scalar_opt);
-  st::BatchOptions lane_opt;
-  lane_opt.threads = 2;
-  lane_opt.lanes = 0;  // auto: AVX2 → 4, else scalar
-  st::ScenarioBatch lane_batch(*f.sta, lane_opt);
-  for (const auto& sc : scenarios) {
-    scalar_batch.add(sc);
-    lane_batch.add(sc);
-  }
-  scalar_batch.run();
-  lane_batch.run();
-  for (size_t i = 0; i < scenarios.size(); ++i) {
+  st::SweepSpec scalar_spec;
+  scalar_spec.scenarios = grouping_scenarios(f);
+  scalar_spec.threads = 1;
+  scalar_spec.lanes = 1;
+  st::SweepSpec lane_spec = scalar_spec;
+  lane_spec.threads = 2;
+  lane_spec.lanes = 0;  // auto: AVX2 → 4, else scalar
+  const auto scalar_batch = f.sta->sweep(scalar_spec);
+  const auto lane_batch = f.sta->sweep(lane_spec);
+  for (size_t i = 0; i < scalar_spec.scenarios.size(); ++i) {
     EXPECT_TRUE(BitEq(scalar_batch.worst_slack(i), lane_batch.worst_slack(i)))
         << "scenario " << i;
   }

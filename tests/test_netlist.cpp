@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
 #include "util/error.hpp"
@@ -98,4 +99,32 @@ TEST(Verilog, PortMissingDirectionThrows) {
   EXPECT_THROW((void)nl::parse_verilog("module m (a, b);\n input a;\n"
                                        "endmodule\n"),
                wu::Error);
+}
+
+TEST(Netlist, NetlistPartitionQueries) {
+  const auto net = nl::make_chain_tree(4);
+  // Degrees: input net a0 = port + one sink; c0_1 = driver + one sink.
+  EXPECT_EQ(net.net_degree("a0"), 2);
+  EXPECT_EQ(net.net_degree("c0_1"), 2);
+  EXPECT_EQ(net.net_degree(net.net_ordinal("y")), 2);  // driver + port
+  EXPECT_EQ(net.net_degree(-1), 0);
+  EXPECT_TRUE(net.is_interface_net("a0"));
+  EXPECT_TRUE(net.is_interface_net("y"));
+  EXPECT_FALSE(net.is_interface_net("c0_1"));
+  // The chain tree is one connected component; two disjoint trees in
+  // one netlist give two.
+  EXPECT_EQ(net.connected_components().count, 1);
+  nl::Netlist two;
+  two.add_port("a", nl::PortDirection::kInput);
+  two.add_port("b", nl::PortDirection::kInput);
+  two.add_port("x", nl::PortDirection::kOutput);
+  two.add_port("y", nl::PortDirection::kOutput);
+  two.add_instance({"u1", "INVX1", {{"A", "a"}, {"Y", "x"}}});
+  two.add_instance({"u2", "INVX1", {{"A", "b"}, {"Y", "y"}}});
+  const auto comps = two.connected_components();
+  EXPECT_EQ(comps.count, 2);
+  EXPECT_EQ(comps.net_component[static_cast<size_t>(two.net_ordinal("a"))],
+            comps.net_component[static_cast<size_t>(two.net_ordinal("x"))]);
+  EXPECT_NE(comps.net_component[static_cast<size_t>(two.net_ordinal("a"))],
+            comps.net_component[static_cast<size_t>(two.net_ordinal("b"))]);
 }

@@ -4,8 +4,7 @@
 // 1/2/4 threads with scenarios touching one/few/all nets and
 // engine-level annotation overlays, endpoint-only agreement, prune=safe
 // exactness (worst_slack/worst_point/critical_endpoint never change),
-// bound validity, pruned/reused accessor errors, and ScenarioBatch
-// flag forwarding.
+// bound validity, and pruned/reused accessor errors.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 
 #include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
@@ -111,9 +109,6 @@ TEST(StaDelta, DeltaPlanMatchesNetlistFanoutCone) {
     EXPECT_GE(sta.vertex_levels()[static_cast<size_t>(plan.backward[i - 1])],
               sta.vertex_levels()[static_cast<size_t>(plan.backward[i])]);
   }
-  // Cone ∩ partitions: some, but not all, partitions are touched.
-  ASSERT_FALSE(plan.partitions.empty());
-  EXPECT_LT(plan.partitions.size(), sta.partitions().size());
   // The single endpoint y lies in the cone.
   ASSERT_EQ(plan.endpoints.size(), 1u);
   EXPECT_EQ(plan.endpoints[0], 0);
@@ -444,47 +439,3 @@ TEST(StaDelta, ConeWithoutEndpointsIsReusedExactlyFromBaseline) {
   EXPECT_TRUE(tu::states_bitwise_equal(clean.state(0), full.state(0), &sta));
 }
 
-TEST(StaDelta, ScenarioBatchForwardsDeltaAndPrune) {
-  const int width = 4;
-  const auto net = nl::make_chain_tree(width);
-  st::StaEngine clean(net, tu::vcl013());
-  tu::constrain_chain_tree(clean, width);
-  clean.run();
-  std::vector<st::NoiseScenario> scenarios;
-  for (int a = 0; a < 4; ++a) {
-    scenarios.push_back(
-        tu::chain_bump_scenario(clean, a % 2, (a - 2) * 15e-12, 0.4));
-  }
-
-  st::StaEngine sta_full(net, tu::vcl013());
-  tu::constrain_chain_tree(sta_full, width);
-  st::BatchOptions full_opt;
-  full_opt.delta = false;
-  st::ScenarioBatch full(sta_full, full_opt);
-  for (const auto& sc : scenarios) full.add(sc);
-  full.run();
-
-  st::StaEngine sta_delta(net, tu::vcl013());
-  tu::constrain_chain_tree(sta_delta, width);
-  st::ScenarioBatch delta(sta_delta);  // delta defaults on
-  for (const auto& sc : scenarios) delta.add(sc);
-  delta.run();
-
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_TRUE(tu::states_bitwise_equal(full.state(i), delta.state(i),
-                                         &sta_delta));
-  }
-
-  st::StaEngine sta_prune(net, tu::vcl013());
-  tu::constrain_chain_tree(sta_prune, width);
-  st::BatchOptions prune_opt;
-  prune_opt.prune = st::PruneMode::kSafe;
-  st::ScenarioBatch pruned(sta_prune, prune_opt);
-  for (const auto& sc : scenarios) pruned.add(sc);
-  pruned.run();
-  EXPECT_EQ(pruned.result().prune_mode(), st::PruneMode::kSafe);
-  EXPECT_EQ(pruned.result().prune_stats().points, scenarios.size());
-  const auto wp = pruned.result().worst_point();
-  EXPECT_EQ(wp.slack, full.result().worst_point().slack);
-  EXPECT_EQ(wp.point, full.result().worst_point().point);
-}

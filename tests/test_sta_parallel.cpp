@@ -1,21 +1,19 @@
-// Parallel + batched STA propagation: bitwise determinism of the
-// level-parallel forward/backward passes across thread counts, bitwise
-// equivalence of batched scenario sweeps vs. sequential looped runs,
-// and Γeff-memo hit accounting.
+// Parallel + batched STA propagation: bitwise determinism of run() and
+// of the one-task-per-point evaluate_points() scheduler across thread
+// counts, bitwise equivalence of scenario sweeps vs. sequential looped
+// runs, and Γeff-memo hit accounting.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <vector>
 
 #include "netlist/generators.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/gamma_cache.hpp"
+#include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
-#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 #include "wave/ramp.hpp"
 
@@ -99,6 +97,103 @@ TEST(StaParallel, MultiThreadBitwiseIdenticalToSingleThread) {
   }
 }
 
+TEST(StaParallel, EvaluatePointsMatchesSerialEvaluateLoop) {
+  const int width = 6;
+  const auto net = wide_netlist(width);
+  st::StaEngine clean(net, lib());
+  constrain(clean, width);
+  clean.run();
+
+  // Engine-level noise on chain 0, per-point scenario noise on chains
+  // 1..3 and two corners: points differ in their Γeff fits and derates.
+  st::StaEngine sta(net, lib());
+  constrain(sta, width);
+  const auto engine_noise = bump_scenario(clean, 0, 5e-12, 0.4);
+  const auto& ann = engine_noise.entries.front().annotation;
+  sta.annotate_noisy_net(engine_noise.entries.front().net, ann.waveform,
+                         ann.polarity);
+  std::vector<st::NoiseScenario> scenarios;
+  for (int chain = 1; chain <= 3; ++chain) {
+    scenarios.push_back(
+        bump_scenario(clean, chain, (chain - 2) * 15e-12, 0.45));
+  }
+  const std::vector<st::Corner> corners = {
+      st::Corner{}, st::Corner{"slow", 1.08, 1.04, 1.2}};
+  sta.prepare();
+  std::vector<std::vector<const st::NoiseAnnotation*>> tables;
+  for (const auto& sc : scenarios) {
+    tables.push_back(sta.compile_edge_annotations(&sc));
+  }
+
+  // Fewer, as many and more points than pool workers.
+  for (const size_t n_points : {size_t{1}, size_t{3}, size_t{9}}) {
+    std::vector<st::StaEngine::EvalContext> contexts(n_points);
+    for (size_t p = 0; p < n_points; ++p) {
+      const auto& corner = corners[p % corners.size()];
+      contexts[p].edge_noise = tables[p % tables.size()].data();
+      contexts[p].corner = &corner;
+      contexts[p].corner_key = corner.key();
+      contexts[p].method = &sta.noise_method();
+    }
+    // Oracle: a loop of serial evaluate() calls, no workspace, no cache.
+    std::vector<st::TimingState> expect(n_points);
+    for (size_t p = 0; p < n_points; ++p) {
+      sta.evaluate(expect[p], contexts[p]);
+    }
+    for (const int threads : {1, 2, 4}) {
+      wu::ThreadPool pool(threads);
+      std::vector<wv::Workspace> workspaces(pool.size());
+      st::GammaCache cache;
+      auto cached = contexts;
+      for (auto& ctx : cached) ctx.cache = &cache;
+      std::vector<st::TimingState> got(n_points);
+      sta.evaluate_points(got, cached, &pool, workspaces);
+      for (size_t p = 0; p < n_points; ++p) {
+        EXPECT_TRUE(tu::states_bitwise_equal(expect[p], got[p], &sta))
+            << n_points << " points, " << threads << " threads, point " << p;
+      }
+    }
+  }
+}
+
+TEST(StaParallel, RunAtFourThreadsEqualsEvaluateAtEveryVertex) {
+  const int width = 8;
+  const auto net = wide_netlist(width);
+  st::StaEngine clean(net, lib());
+  constrain(clean, width);
+  clean.run();
+
+  st::StaEngine sta(net, lib());
+  constrain(sta, width);
+  const auto noise = bump_scenario(clean, 2, 0.0, 0.5);
+  const auto& ann = noise.entries.front().annotation;
+  sta.annotate_noisy_net(noise.entries.front().net, ann.waveform,
+                         ann.polarity);
+  const st::Corner slow{"slow", 1.08, 1.04, 1.2};
+  sta.set_corner(slow);
+  sta.set_threads(4);
+  sta.run();
+
+  const auto table = sta.compile_edge_annotations();
+  st::StaEngine::EvalContext ctx;
+  ctx.edge_noise = table.data();
+  ctx.corner = &slow;
+  ctx.corner_key = slow.key();
+  ctx.method = &sta.noise_method();
+  st::TimingState expect;
+  sta.evaluate(expect, ctx);
+
+  // run()'s state, read back vertex by vertex through timing().
+  st::TimingState got(sta.vertex_count());
+  for (size_t v = 0; v < sta.vertex_count(); ++v) {
+    const auto pin = sta.pin(sta.vertex_name(v));
+    for (int rf = 0; rf < 2; ++rf) {
+      got[v].timing[rf] = sta.timing(pin, static_cast<st::RiseFall>(rf));
+    }
+  }
+  EXPECT_TRUE(tu::states_bitwise_equal(expect, got, &sta));
+}
+
 TEST(StaParallel, BatchedBitwiseIdenticalToLoopedRuns) {
   const int width = 6;
   const auto net = wide_netlist(width);
@@ -135,19 +230,18 @@ TEST(StaParallel, BatchedBitwiseIdenticalToLoopedRuns) {
     looped_slack.push_back(sta.worst_slack());
   }
 
-  // Batched: one levelized pass, 4 threads, shared Γeff cache.
+  // Batched: one sweep, 4 threads, shared Γeff cache.
   st::StaEngine sta(net, lib());
   constrain(sta, width);
-  st::BatchOptions opt;
-  opt.threads = 4;
-  st::ScenarioBatch batch(sta, opt);
-  for (auto& sc : scenarios) batch.add(sc);
-  batch.run();
+  st::SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.threads = 4;
+  const auto batch = sta.sweep(spec);
 
   for (size_t i = 0; i < scenarios.size(); ++i) {
     EXPECT_EQ(batch.timing(i, "y", st::RiseFall::kFall).arrival,
               looped_arrival[i])
-        << "scenario " << i << " (" << batch.scenario(i).name << ")";
+        << "scenario " << i << " (" << batch.scenario_name(i) << ")";
     EXPECT_EQ(batch.worst_slack(i), looped_slack[i]) << "scenario " << i;
   }
 }
@@ -165,11 +259,10 @@ TEST(StaParallel, GammaCacheCountsHitsForRepeatedScenarios) {
   const int copies = 16;
   st::StaEngine sta(net, lib());
   constrain(sta, width);
-  st::BatchOptions opt;
-  opt.threads = 2;
-  st::ScenarioBatch batch(sta, opt);
-  for (int i = 0; i < copies; ++i) batch.add(sc);
-  batch.run();
+  st::SweepSpec spec;
+  spec.scenarios.assign(copies, sc);
+  spec.threads = 2;
+  const auto batch = sta.sweep(spec);
 
   const auto stats = batch.cache_stats();
   // One noisy sink, one matching transition → exactly one lookup per
@@ -199,21 +292,18 @@ TEST(StaParallel, CacheOffMatchesCacheOnBitwise) {
 
   st::StaEngine sta_on(net, lib());
   constrain(sta_on, width);
-  st::BatchOptions on;
+  st::SweepSpec on;
+  on.scenarios = scenarios;
   on.threads = 2;
   on.share_gamma_cache = true;
-  st::ScenarioBatch batch_on(sta_on, on);
-  for (auto& s : scenarios) batch_on.add(s);
-  batch_on.run();
+  const auto batch_on = sta_on.sweep(on);
 
   st::StaEngine sta_off(net, lib());
   constrain(sta_off, width);
-  st::BatchOptions off;
+  st::SweepSpec off = on;
   off.threads = 1;
   off.share_gamma_cache = false;
-  st::ScenarioBatch batch_off(sta_off, off);
-  for (auto& s : scenarios) batch_off.add(s);
-  batch_off.run();
+  const auto batch_off = sta_off.sweep(off);
 
   EXPECT_EQ(batch_off.cache_stats().hits + batch_off.cache_stats().misses,
             0u);
@@ -222,26 +312,7 @@ TEST(StaParallel, CacheOffMatchesCacheOnBitwise) {
   }
 }
 
-TEST(StaParallel, ThreadPoolRunsEveryIndexOnceAndPropagatesErrors) {
-  wu::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<int> counts(1000, 0);
-  pool.parallel_for(counts.size(), [&](size_t i) { counts[i]++; });
-  for (const int c : counts) EXPECT_EQ(c, 1);
-
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](size_t i) {
-                          if (i == 57) throw wu::Error("boom");
-                        }),
-      wu::Error);
-  // Pool stays usable after an exception.
-  std::atomic<int> total{0};
-  pool.parallel_for(100, [&](size_t) { total++; });
-  EXPECT_EQ(total.load(), 100);
-}
-
-TEST(StaParallel, EngineAnnotationsOverlayIntoBatchScenarios) {
+TEST(StaParallel, EngineAnnotationsOverlayIntoSweepScenarios) {
   const int width = 4;
   const auto net = wide_netlist(width);
   st::StaEngine clean(net, lib());
@@ -252,16 +323,16 @@ TEST(StaParallel, EngineAnnotationsOverlayIntoBatchScenarios) {
   const auto sc1 = bump_scenario(clean, 1, -15e-12, 0.4);
 
   // Engine-level annotation on chain 1, scenario annotation on chain 0:
-  // the batch must apply BOTH (engine annotations overlay into every
+  // the sweep must apply BOTH (engine annotations overlay into every
   // scenario; the scenario wins only on nets both touch).
   st::StaEngine sta(net, lib());
   constrain(sta, width);
   const auto& ann1 = sc1.entries.front().annotation;
   sta.annotate_noisy_net(sc1.entries.front().net, ann1.waveform,
                          ann1.polarity);
-  st::ScenarioBatch batch(sta);
-  batch.add(sc0);
-  batch.run();
+  st::SweepSpec spec;
+  spec.scenarios = {sc0};
+  const auto batch = sta.sweep(spec);
 
   // Reference: one engine run with both annotations applied.
   st::StaEngine both(net, lib());
@@ -283,18 +354,4 @@ TEST(StaParallel, EngineAnnotationsOverlayIntoBatchScenarios) {
   both.run();
   EXPECT_EQ(both.timing("y", st::RiseFall::kFall).arrival,
             clean.timing("y", st::RiseFall::kFall).arrival);
-}
-
-TEST(StaParallel, EmptyBatchThrows) {
-  const auto net = wide_netlist(2);
-  st::StaEngine sta(net, lib());
-  constrain(sta, 2);
-  st::ScenarioBatch batch(sta);
-  EXPECT_THROW(batch.run(), wu::Error);
-  st::NoiseScenario sc;
-  batch.add(sc);  // scenario with no annotations = clean run
-  batch.run();
-  sta.run();
-  EXPECT_EQ(batch.timing(0, "y", st::RiseFall::kFall).arrival,
-            sta.timing("y", st::RiseFall::kFall).arrival);
 }

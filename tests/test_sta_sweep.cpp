@@ -1,7 +1,7 @@
 // Unified Sweep surface: corner × scenario cross products evaluated in
-// one levelized pass, cross-checked bitwise against independent
-// single-engine runs; TimingView accessors; worst_point(); the
-// ScenarioBatch compatibility shim; and corner-keyed Γeff memoization.
+// one call, cross-checked bitwise against independent single-engine
+// runs; TimingView accessors; worst_point(); and corner-keyed Γeff
+// memoization.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "netlist/generators.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
@@ -70,7 +69,7 @@ TEST(StaSweep, CrossProductMatchesIndependentRunsBitwise) {
   constrain(clean, width);
   clean.run();
 
-  // 2 corners × 8 scenarios, evaluated in ONE levelized pass.
+  // 2 corners × 8 scenarios, evaluated in ONE sweep() call.
   st::SweepSpec spec;
   spec.corners = two_corners();
   for (int chain : {0, 3}) {
@@ -258,39 +257,6 @@ TEST(StaSweep, SharedCacheAcrossCornersStaysBitwiseCorrect) {
   }
 }
 
-TEST(StaSweep, ScenarioBatchIsAShimOverSweep) {
-  const int width = 4;
-  const auto net = nl::make_chain_tree(width);
-  st::StaEngine clean(net, lib());
-  constrain(clean, width);
-  clean.run();
-
-  std::vector<st::NoiseScenario> scenarios;
-  for (int a = 0; a < 3; ++a) {
-    scenarios.push_back(bump_scenario(clean, 0, (a - 1) * 20e-12, 0.4));
-  }
-
-  st::StaEngine sta_batch(net, lib());
-  constrain(sta_batch, width);
-  st::ScenarioBatch batch(sta_batch);
-  for (const auto& sc : scenarios) batch.add(sc);
-  batch.run();
-
-  st::StaEngine sta_sweep(net, lib());
-  constrain(sta_sweep, width);
-  st::SweepSpec spec;
-  spec.scenarios = scenarios;
-  const auto result = sta_sweep.sweep(spec);
-
-  ASSERT_EQ(batch.size(), result.num_scenarios());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    expect_states_identical(batch.state(i), result.state(i));
-  }
-  // The shim exposes its underlying SweepResult.
-  EXPECT_EQ(batch.result().size(), batch.size());
-  EXPECT_EQ(batch.result().num_corners(), 1u);
-}
-
 TEST(StaSweep, EndpointOnlyAgreesWithFullStateBitwise) {
   const int width = 5;
   const auto net = nl::make_chain_tree(width);
@@ -370,40 +336,6 @@ TEST(StaSweep, EndpointOnlyFullStateAccessorsThrowClearly) {
   expect_throws_endpoint_only(
       [&] { (void)r.timing(0, "y", st::RiseFall::kFall); });
   expect_throws_endpoint_only([&] { (void)r.critical_path(0); });
-}
-
-TEST(StaSweep, EndpointOnlyViaScenarioBatchShim) {
-  const int width = 4;
-  const auto net = nl::make_chain_tree(width);
-  st::StaEngine clean(net, lib());
-  constrain(clean, width);
-  clean.run();
-
-  std::vector<st::NoiseScenario> scenarios;
-  for (int a = 0; a < 4; ++a) {
-    scenarios.push_back(bump_scenario(clean, 0, a * 10e-12, 0.4));
-  }
-
-  st::StaEngine sta_full(net, lib());
-  constrain(sta_full, width);
-  st::ScenarioBatch full(sta_full);
-  for (const auto& sc : scenarios) full.add(sc);
-  full.run();
-
-  st::StaEngine sta_ep(net, lib());
-  constrain(sta_ep, width);
-  st::BatchOptions opt;
-  opt.endpoint_only = true;
-  opt.wide_partition_threshold = 8;  // forwarded alongside
-  st::ScenarioBatch batch(sta_ep, opt);
-  for (const auto& sc : scenarios) batch.add(sc);
-  batch.run();
-
-  EXPECT_TRUE(batch.result().endpoint_only());
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(batch.worst_slack(i), full.worst_slack(i)) << "scenario " << i;
-  }
-  EXPECT_THROW((void)batch.state(0), wu::Error);
 }
 
 TEST(StaSweep, OutOfRangeAccessThrows) {

@@ -1,15 +1,19 @@
 // Unit tests for the util substrate: engineering-notation parsing,
-// string helpers, CSV/table writers, RNG determinism.
+// string helpers, CSV/table writers, RNG determinism, and the thread
+// pool's dependency-ordered task-graph executor.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace wu = waveletic::util;
@@ -150,4 +154,48 @@ TEST(Rng, DifferentSeedsDiverge) {
   int equal = 0;
   for (int i = 0; i < 64; ++i) equal += (a.next() == b.next());
   EXPECT_LT(equal, 4);
+}
+
+TEST(ThreadPool, TaskGraphExecutorRunsDagsAndPropagatesErrors) {
+  // A diamond DAG per tile: 0 → {1, 2} → 3.  Records completion order
+  // constraints rather than a fixed schedule.
+  const std::vector<uint32_t> indegree = {0, 1, 1, 2};
+  const std::vector<std::vector<uint32_t>> successors = {
+      {1, 2}, {3}, {3}, {}};
+  for (const int threads : {1, 2, 4}) {
+    wu::ThreadPool pool(threads);
+    const size_t tiles = 5;
+    std::vector<std::atomic<int>> done(4 * tiles);
+    for (auto& d : done) d.store(0);
+    std::atomic<int> violations{0};
+    pool.run_graph(
+        {indegree, successors, tiles}, [&](size_t, size_t task) {
+          const size_t tile = task / 4;
+          const size_t local = task % 4;
+          if (local == 1 || local == 2) {
+            if (done[tile * 4 + 0].load() == 0) violations++;
+          }
+          if (local == 3) {
+            if (done[tile * 4 + 1].load() == 0 ||
+                done[tile * 4 + 2].load() == 0) {
+              violations++;
+            }
+          }
+          done[task].store(1);
+        });
+    for (auto& d : done) EXPECT_EQ(d.load(), 1);
+    EXPECT_EQ(violations.load(), 0);
+
+    // Exceptions cancel the remainder and surface on the caller.
+    EXPECT_THROW(pool.run_graph({indegree, successors, tiles},
+                                [&](size_t, size_t task) {
+                                  if (task == 2) throw wu::Error("boom");
+                                }),
+                 wu::Error);
+    // The pool stays usable afterwards.
+    std::atomic<int> count{0};
+    pool.run_graph({indegree, successors, 1},
+                   [&](size_t, size_t) { count++; });
+    EXPECT_EQ(count.load(), 4);
+  }
 }
