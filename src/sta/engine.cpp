@@ -9,7 +9,7 @@
 #include "core/sgdp.hpp"
 #include "sta/gamma_cache.hpp"
 #include "sta/sweep.hpp"
-#include "util/thread_pool.hpp"
+#include "sta/task_runner.hpp"
 #include "util/units.hpp"
 #include "wave/ramp.hpp"
 
@@ -81,43 +81,21 @@ void append_suggestions(std::ostringstream& os,
   os << ')';
 }
 
-/// The one cross-point scheduler: eval(p, ctx) for every point p, one
-/// ThreadPool::run_graph task per point, with ctx = contexts[p] pointed
-/// at the running worker's arena when `worker_workspaces` is non-empty.
-/// Serial on the caller without a multi-worker pool.
+/// One task per point on the shared runner, with ctx = contexts[p]
+/// pointed at the running worker's arena when `worker_workspaces` is
+/// non-empty.
 template <typename Eval>
 void run_points(const char* caller,
                 std::span<const StaEngine::EvalContext> contexts,
                 util::ThreadPool* pool,
                 std::span<wave::Workspace> worker_workspaces,
                 const Eval& eval) {
-  const size_t n_points = contexts.size();
-  if (n_points == 0) return;
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(worker_workspaces.empty() ||
-                    worker_workspaces.size() >= pool_workers,
-                caller, ": need one workspace per pool worker (",
-                worker_workspaces.size(), " < ", pool_workers, ")");
-  auto body = [&](size_t worker, size_t p) {
-    StaEngine::EvalContext task_ctx = contexts[p];
-    if (!worker_workspaces.empty()) {
-      task_ctx.workspace = &worker_workspaces[worker];
-    }
-    eval(p, task_ctx);
-  };
-  if (pool_workers > 1) {
-    // One dependency-free task per point, tiled over the trivial
-    // single-task DAG: the shared ready stack of run_graph dynamically
-    // load-balances unequal per-point work.  A single point goes this
-    // way too: waking the workers now lets them share the caller's
-    // next tasks (a sweep's first wave after its baseline) evenly.
-    static const uint32_t kZeroIndegree[1] = {0};
-    static const std::vector<uint32_t> kNoSuccessors[1] = {{}};
-    pool->run_graph({kZeroIndegree, kNoSuccessors, n_points}, body);
-  } else {
-    for (size_t p = 0; p < n_points; ++p) body(0, p);
-  }
+  detail::run_tasks(caller, contexts.size(), pool, worker_workspaces,
+                    [&](size_t, size_t p, wave::Workspace* ws) {
+                      StaEngine::EvalContext task_ctx = contexts[p];
+                      if (ws != nullptr) task_ctx.workspace = ws;
+                      eval(p, task_ctx);
+                    });
 }
 
 }  // namespace
@@ -1037,8 +1015,7 @@ StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
   by_level(plan.backward, /*descending=*/true);
 
   for (size_t e = 0; e < endpoint_ports_.size(); ++e) {
-    const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
-    if (dirty[static_cast<size_t>(v)]) {
+    if (dirty[static_cast<size_t>(endpoint_vertex(e))]) {
       plan.endpoints.push_back(static_cast<int32_t>(e));
     }
   }
@@ -1250,20 +1227,7 @@ const PinTiming& StaEngine::timing_in(const TimingState& state,
 }
 
 double StaEngine::worst_slack_in(const TimingState& state) const {
-  util::require(state.size() == vertex_names_.size(),
-                "worst_slack_in: state size does not match this engine "
-                "(init_state/evaluate it first)");
-  double worst = std::numeric_limits<double>::infinity();
-  for (const auto& port : ports_) {
-    if (port.direction != netlist::PortDirection::kOutput) continue;
-    const auto& v = state[static_cast<size_t>(port.vertex)];
-    for (int rf = 0; rf < 2; ++rf) {
-      if (v.timing[rf].valid && std::isfinite(v.timing[rf].required)) {
-        worst = std::min(worst, v.timing[rf].slack());
-      }
-    }
-  }
-  return worst;
+  return summarize_endpoints(state).worst_slack;
 }
 
 const PinTiming& StaEngine::timing(PinId pin, RiseFall rf) const {
@@ -1284,18 +1248,24 @@ double StaEngine::worst_slack() const {
 
 StaEngine::WorstEndpoint StaEngine::worst_endpoint_in(
     const TimingState& state) const {
-  util::require(state.size() == vertex_names_.size(),
-                "worst_endpoint_in: state size does not match this engine "
-                "(init_state/evaluate it first)");
+  return summarize_endpoints(state).critical;
+}
+
+template <typename RowOf>
+StaEngine::EndpointSummary StaEngine::summarize_rows(
+    size_t n_endpoints, const RowOf& row_of, std::span<double> arrivals) {
   // Endpoint: worst slack when constrained, else latest arrival.
-  WorstEndpoint best;
+  EndpointSummary sum;
+  WorstEndpoint& best = sum.critical;
   double best_metric = std::numeric_limits<double>::infinity();
   bool use_slack = false;
-  for (size_t e = 0; e < endpoint_ports_.size(); ++e) {
-    const auto& port = ports_[static_cast<size_t>(endpoint_ports_[e])];
-    const auto& v = state[static_cast<size_t>(port.vertex)];
+  for (size_t e = 0; e < n_endpoints; ++e) {
+    const VertexTiming& v = row_of(e);
     for (int rf = 0; rf < 2; ++rf) {
       const auto& t = v.timing[rf];
+      if (!arrivals.empty()) {
+        arrivals[e * 2 + static_cast<size_t>(rf)] = t.arrival;
+      }
       if (!t.valid) continue;
       const bool constrained = std::isfinite(t.required);
       const double metric = constrained ? t.slack() : -t.arrival;
@@ -1313,17 +1283,41 @@ StaEngine::WorstEndpoint StaEngine::worst_endpoint_in(
       }
     }
   }
-  return best;
+  // The minimum over constrained slacks, first in endpoint order on
+  // ties: exactly a running std::min over them.
+  if (use_slack) sum.worst_slack = best_metric;
+  return sum;
+}
+
+StaEngine::EndpointSummary StaEngine::summarize_endpoints(
+    const TimingState& state, std::span<double> arrivals) const {
+  util::require(state.size() == vertex_names_.size(),
+                "endpoint summary: state size does not match this engine "
+                "(init_state/evaluate it first)");
+  return summarize_rows(
+      endpoint_ports_.size(),
+      [&](size_t e) -> const VertexTiming& {
+        return state[static_cast<size_t>(endpoint_vertex(e))];
+      },
+      arrivals);
+}
+
+StaEngine::EndpointSummary StaEngine::summarize_endpoints(
+    std::span<const VertexTiming> rows, std::span<double> arrivals) const {
+  util::require(rows.size() == endpoint_ports_.size(),
+                "endpoint summary: ", rows.size(), " rows for ",
+                endpoint_ports_.size(), " endpoints");
+  return summarize_rows(
+      rows.size(), [&](size_t e) -> const VertexTiming& { return rows[e]; },
+      arrivals);
 }
 
 std::vector<PathStep> StaEngine::worst_path_in(
     const TimingState& state) const {
   const WorstEndpoint we = worst_endpoint_in(state);
   std::vector<PathStep> path;
-  int v = we.endpoint >= 0
-              ? ports_[static_cast<size_t>(endpoint_ports_[we.endpoint])]
-                    .vertex
-              : -1;
+  int v =
+      we.endpoint >= 0 ? endpoint_vertex(static_cast<size_t>(we.endpoint)) : -1;
   int rf = static_cast<int>(we.rf);
   while (v >= 0) {
     const auto& vert = state[static_cast<size_t>(v)];

@@ -529,13 +529,29 @@ class StaEngine {
   /// bit for bit.  `lanes` must be 1 or 4; 1 runs the W=1 oracle
   /// instantiation of the block walker (available on every build),
   /// 4 requires AVX2 (wave::lane_width_available(4)) and throws
-  /// util::Error otherwise.  Blocks run as independent pool tasks, into
-  /// states allocated on the calling thread as in evaluate_points(); the
-  /// W=1 instantiation of the block walker is the oracle the W=4 path
-  /// must match bitwise (asserted by tests/test_lanes.cpp and the
-  /// bench `bitwise_identical` flag).
+  /// util::Error otherwise.  Blocks run as independent pool tasks on
+  /// the shared point scheduler, into states allocated on the calling
+  /// thread as in evaluate_points(); the W=1 instantiation of the block
+  /// walker is the oracle the W=4 path must match bitwise (asserted by
+  /// tests/test_lanes.cpp and the bench `bitwise_identical` flag).
   void evaluate_points_delta_lanes(
       std::span<TimingState> states, std::span<const EvalContext> contexts,
+      std::span<const TimingState* const> baselines,
+      std::span<const DeltaPlan* const> plans, int lanes,
+      util::ThreadPool* pool = nullptr,
+      std::span<wave::Workspace> worker_workspaces = {}) const;
+  /// Endpoint-rows mode of the lane runner: writes only each point's
+  /// endpoint rows, endpoint_rows[p * E + e] for E = endpoint_ports()
+  /// .size() — bitwise the VertexTiming that the states overload leaves
+  /// at endpoint e's vertex.  No per-point TimingState exists: the
+  /// walker takes a row from its lanes where the endpoint lies in the
+  /// block's cone and from the point's baseline otherwise, and a
+  /// width-4 singleton block evaluates into one scratch state per
+  /// worker and copies its E rows out.  Endpoint-only sweeps summarize
+  /// straight from these rows.
+  void evaluate_points_delta_lanes(
+      std::span<VertexTiming> endpoint_rows,
+      std::span<const EvalContext> contexts,
       std::span<const TimingState* const> baselines,
       std::span<const DeltaPlan* const> plans, int lanes,
       util::ThreadPool* pool = nullptr,
@@ -575,6 +591,35 @@ class StaEngine {
       const TimingState& state) const;
 
  private:
+  /// {worst slack, critical endpoint} of one point — what
+  /// worst_slack_in() and worst_endpoint_in() return.
+  struct EndpointSummary {
+    /// Worst slack over constrained endpoint transitions (+inf: none).
+    double worst_slack = std::numeric_limits<double>::infinity();
+    WorstEndpoint critical;
+  };
+  /// The one endpoint-summary routine: folds row_of(e), the VertexTiming
+  /// of endpoint e, over every endpoint in port order, and writes
+  /// arrivals[e * 2 + rf] when `arrivals` is non-empty.  Full states,
+  /// reused baselines and lane-walk endpoint rows all summarize through
+  /// it (the two summarize_endpoints() overloads), so their summaries
+  /// agree by construction.
+  template <typename RowOf>
+  [[nodiscard]] static EndpointSummary summarize_rows(
+      size_t n_endpoints, const RowOf& row_of, std::span<double> arrivals);
+  /// Summary of a full state's endpoint rows.
+  [[nodiscard]] EndpointSummary summarize_endpoints(
+      const TimingState& state, std::span<double> arrivals = {}) const;
+  /// Summary of endpoint rows as the rows overload of
+  /// evaluate_points_delta_lanes() writes them (one point's E rows).
+  [[nodiscard]] EndpointSummary summarize_endpoints(
+      std::span<const VertexTiming> rows,
+      std::span<double> arrivals = {}) const;
+  /// Vertex of endpoint `e` (an index into endpoint_ports()).
+  [[nodiscard]] int endpoint_vertex(size_t e) const noexcept {
+    return ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
+  }
+
   // Edges carry structure only; per-net loads and wire delays live in
   // the engine's mutable tables (net_loads_, net_parasitics_) so forks
   // can share one immutable Graph while editing loads independently.
@@ -717,14 +762,30 @@ class StaEngine {
   /// vertex→slot maps plus the SoA lane arrays (defined in
   /// engine_lanes_impl.hpp; sized O(V) once, reused across blocks).
   struct LaneScratch;
+  /// Where the lane runner writes its points: full `states` (one per
+  /// point), or — when `states` is empty — only each point's endpoint
+  /// rows, endpoint_rows[p * endpoint_ports().size() + e].
+  struct LaneOutput {
+    std::span<TimingState> states;
+    std::span<VertexTiming> endpoint_rows;
+  };
+  /// The body of both evaluate_points_delta_lanes() overloads.
+  void run_lane_blocks(LaneOutput out,
+                       std::span<const EvalContext> contexts,
+                       std::span<const TimingState* const> baselines,
+                       std::span<const DeltaPlan* const> plans, int lanes,
+                       util::ThreadPool* pool,
+                       std::span<wave::Workspace> worker_workspaces) const;
   /// Walks one lane block: reset → forward fold → backward fold of
-  /// `block.plan` with W lanes in flight, then materializes each real
-  /// lane as baseline-copy + cone overwrite.  Instantiated at W=1
+  /// `block.plan` with W lanes in flight, then writes each real lane's
+  /// results into `out` — in states mode a baseline copy overwritten
+  /// over the cone, in endpoint-rows mode only the E endpoint rows,
+  /// read from the lanes where the endpoint vertex is in the cone and
+  /// from the baseline otherwise.  Instantiated at W=1
   /// (engine_lanes.cpp — the oracle/fallback) and W=4
   /// (engine_lanes_avx2.cpp, compiled with -mavx2).
   template <int W>
-  void evaluate_delta_block(const LaneBlock& block,
-                            std::span<TimingState> states,
+  void evaluate_delta_block(const LaneBlock& block, LaneOutput out,
                             std::span<const EvalContext> contexts,
                             std::span<const TimingState* const> baselines,
                             wave::Workspace* workspace,

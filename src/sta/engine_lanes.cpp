@@ -8,7 +8,7 @@
 #include <unordered_map>
 
 #include "sta/engine_lanes_impl.hpp"
-#include "util/thread_pool.hpp"
+#include "sta/task_runner.hpp"
 
 namespace waveletic::sta {
 
@@ -194,71 +194,97 @@ void StaEngine::evaluate_points_delta_lanes(
     std::span<const DeltaPlan* const> plans, int lanes,
     util::ThreadPool* pool, std::span<wave::Workspace> worker_workspaces)
     const {
-  util::require(states.size() == contexts.size() &&
-                    states.size() == baselines.size() &&
-                    states.size() == plans.size(),
-                "evaluate_points_delta_lanes: ", states.size(), " states vs ",
-                contexts.size(), " contexts vs ", baselines.size(),
-                " baselines vs ", plans.size(), " plans");
-  util::require(lanes == 1 || lanes == 4,
-                "evaluate_points_delta_lanes: lanes must be 1 or 4, got ",
-                lanes);
-  util::require(wave::lane_width_available(lanes),
-                "evaluate_points_delta_lanes: lane width ", lanes,
-                " not available on this build/CPU");
-  const size_t n_points = states.size();
-  if (n_points == 0) return;
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(
-      worker_workspaces.empty() || worker_workspaces.size() >= pool_workers,
-      "evaluate_points_delta_lanes: need one workspace per pool worker (",
-      worker_workspaces.size(), " < ", pool_workers, ")");
-
+  util::require(states.size() == contexts.size(),
+                "evaluate_points_delta_lanes: ", states.size(),
+                " states vs ", contexts.size(), " contexts");
   // Allocated here, on the caller, for the reason evaluate_points() gives:
   // a wave of a few blocks on many workers otherwise spreads its states
   // over the workers' malloc arenas differently from run to run.
   for (auto& state : states) state.reserve(vertex_names_.size());
+  run_lane_blocks({states, {}}, contexts, baselines, plans, lanes, pool,
+                  worker_workspaces);
+}
+
+void StaEngine::evaluate_points_delta_lanes(
+    std::span<VertexTiming> endpoint_rows,
+    std::span<const EvalContext> contexts,
+    std::span<const TimingState* const> baselines,
+    std::span<const DeltaPlan* const> plans, int lanes,
+    util::ThreadPool* pool, std::span<wave::Workspace> worker_workspaces)
+    const {
+  util::require(endpoint_rows.size() == contexts.size() *
+                                            endpoint_ports_.size(),
+                "evaluate_points_delta_lanes: ", endpoint_rows.size(),
+                " endpoint rows for ", contexts.size(), " points x ",
+                endpoint_ports_.size(), " endpoints");
+  run_lane_blocks({{}, endpoint_rows}, contexts, baselines, plans, lanes,
+                  pool, worker_workspaces);
+}
+
+void StaEngine::run_lane_blocks(
+    LaneOutput out, std::span<const EvalContext> contexts,
+    std::span<const TimingState* const> baselines,
+    std::span<const DeltaPlan* const> plans, int lanes,
+    util::ThreadPool* pool, std::span<wave::Workspace> worker_workspaces)
+    const {
+  constexpr const char* kCaller = "evaluate_points_delta_lanes";
+  util::require(contexts.size() == baselines.size() &&
+                    contexts.size() == plans.size(),
+                kCaller, ": ", contexts.size(), " contexts vs ",
+                baselines.size(), " baselines vs ", plans.size(), " plans");
+  util::require(lanes == 1 || lanes == 4, kCaller,
+                ": lanes must be 1 or 4, got ", lanes);
+  util::require(wave::lane_width_available(lanes), kCaller, ": lane width ",
+                lanes, " not available on this build/CPU");
+  if (contexts.empty()) return;
+
   const auto blocks = group_lane_blocks(contexts, baselines, plans, lanes);
+  const size_t pool_workers =
+      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
   std::vector<LaneScratch> scratch(pool_workers);
-  auto body = [&](size_t worker, size_t bi) {
-    const LaneBlock& blk = blocks[bi];
-    wave::Workspace* ws =
-        worker_workspaces.empty() ? nullptr : &worker_workspaces[worker];
-    if (lanes == 4 && blk.points.size() > 1) {
+  const size_t n_endpoints = endpoint_ports_.size();
+  detail::run_tasks(
+      kCaller, blocks.size(), pool, worker_workspaces,
+      [&](size_t worker, size_t bi, wave::Workspace* ws) {
+        const LaneBlock& blk = blocks[bi];
+        if (lanes == 4 && blk.points.size() > 1) {
 #if defined(WAVELETIC_HAVE_AVX2)
-      evaluate_delta_block<4>(blk, states, contexts, baselines, ws,
-                              scratch[worker]);
+          evaluate_delta_block<4>(blk, out, contexts, baselines, ws,
+                                  scratch[worker]);
 #endif
-      return;
-    }
-    if (lanes == 1) {
-      // W=1 runs every (singleton) block through the walker — the
-      // oracle instantiation, exercised on every build.
-      evaluate_delta_block<1>(blk, states, contexts, baselines, ws,
-                              scratch[worker]);
-      return;
-    }
-    // Width-4 singleton: the scalar per-point path is cheaper than a
-    // 3/4-padded lane walk and bitwise identical by contract.
-    const uint32_t p = blk.points[0];
-    EvalContext task_ctx = contexts[p];
-    if (ws != nullptr) task_ctx.workspace = ws;
-    evaluate_delta(states[p], *baselines[p], *plans[p], task_ctx);
-  };
-  if (pool != nullptr && pool->size() > 1 && blocks.size() > 1) {
-    static const uint32_t kZeroIndegree[1] = {0};
-    static const std::vector<uint32_t> kNoSuccessors[1] = {{}};
-    pool->run_graph({kZeroIndegree, kNoSuccessors, blocks.size()}, body);
-  } else {
-    for (size_t b = 0; b < blocks.size(); ++b) body(0, b);
-  }
+          return;
+        }
+        if (lanes == 1) {
+          // W=1 runs every (singleton) block through the walker — the
+          // oracle instantiation, exercised on every build.
+          evaluate_delta_block<1>(blk, out, contexts, baselines, ws,
+                                  scratch[worker]);
+          return;
+        }
+        // Width-4 singleton: the scalar per-point path is cheaper than a
+        // 3/4-padded lane walk and bitwise identical by contract.  In
+        // endpoint-rows mode it evaluates into the worker's scratch
+        // state and copies the endpoint rows out.
+        const uint32_t p = blk.points[0];
+        EvalContext task_ctx = contexts[p];
+        if (ws != nullptr) task_ctx.workspace = ws;
+        if (!out.states.empty()) {
+          evaluate_delta(out.states[p], *baselines[p], *plans[p], task_ctx);
+          return;
+        }
+        TimingState& point = scratch[worker].point;
+        evaluate_delta(point, *baselines[p], *plans[p], task_ctx);
+        VertexTiming* rows = out.endpoint_rows.data() + p * n_endpoints;
+        for (size_t e = 0; e < n_endpoints; ++e) {
+          rows[e] = point[static_cast<size_t>(endpoint_vertex(e))];
+        }
+      });
 }
 
 // The oracle instantiation: structurally the scalar fold, one point per
 // "vector".  The W=4 instantiation must match it bitwise.
 template void StaEngine::evaluate_delta_block<1>(
-    const LaneBlock& block, std::span<TimingState> states,
+    const LaneBlock& block, LaneOutput out,
     std::span<const EvalContext> contexts,
     std::span<const TimingState* const> baselines, wave::Workspace* workspace,
     LaneScratch& s) const;

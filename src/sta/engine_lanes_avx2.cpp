@@ -11,7 +11,7 @@
 namespace waveletic::sta {
 
 template void StaEngine::evaluate_delta_block<4>(
-    const LaneBlock& block, std::span<TimingState> states,
+    const LaneBlock& block, LaneOutput out,
     std::span<const EvalContext> contexts,
     std::span<const TimingState* const> baselines, wave::Workspace* workspace,
     LaneScratch& s) const;

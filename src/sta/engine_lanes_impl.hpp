@@ -26,6 +26,11 @@
 // context so every lane reads well-defined data; pad results are
 // discarded at materialization (lanes never feed each other, so pad
 // lanes cannot perturb real ones).
+//
+// Materialization writes either a full TimingState per real lane
+// (baseline copy + cone overwrite) or, in endpoint-rows mode, only the
+// lane's E endpoint rows — the same values the full state would hold at
+// those vertices, with no V-sized copy.
 
 #include <algorithm>
 #include <array>
@@ -49,6 +54,9 @@ struct StaEngine::LaneScratch {
   std::vector<int32_t> slot;        ///< dense slot of a stamped vertex
   uint32_t epoch = 0;
   std::vector<double> arrival, slew, required, valid, pred, pred_rf;
+  /// The point state a width-4 singleton block evaluates into in
+  /// endpoint-rows mode (scalar evaluate_delta(); reused across points).
+  TimingState point;
 
   void ensure(size_t num_vertices) {
     if (fwd_stamp.size() < num_vertices) {
@@ -62,7 +70,7 @@ struct StaEngine::LaneScratch {
 
 template <int W>
 void StaEngine::evaluate_delta_block(
-    const LaneBlock& block, std::span<TimingState> states,
+    const LaneBlock& block, LaneOutput out,
     std::span<const EvalContext> contexts,
     std::span<const TimingState* const> baselines, wave::Workspace* workspace,
     LaneScratch& s) const {
@@ -503,10 +511,48 @@ void StaEngine::evaluate_delta_block(
     }
   }
 
-  // --- materialization: baseline copy + cone overwrite per real lane --
-  // Iterated in ascending vertex id (forward_ids/backward_ids) so the
-  // output writes stream in address order; the id lists fall back to
-  // the level-ordered ones for hand-built plans that left them empty.
+  // --- materialization ------------------------------------------------
+  // Vertex v of real lane jj, as the cone walk left it: arrival-side
+  // fields when v is forward-dirty, the required time when v is dirty
+  // at all (a forward-only vertex keeps its reset required); a clean
+  // vertex keeps the baseline value already in `vt`.
+  const auto write_lane = [&](VertexTiming& vt, int v, size_t jj) {
+    const bool fwd = s.fwd_stamp[static_cast<size_t>(v)] == epoch;
+    const bool bwd = s.bwd_stamp[static_cast<size_t>(v)] == epoch;
+    if (!fwd && !bwd) return;
+    for (int rf = 0; rf < 2; ++rf) {
+      const size_t o = off(v, rf) + jj;
+      auto& t = vt.timing[rf];
+      if (fwd) {
+        t.arrival = s.arrival[o];
+        t.slew = s.slew[o];
+        t.valid = s.valid[o] != 0.0;
+        vt.critical_pred[rf] = static_cast<int>(s.pred[o]);
+        vt.critical_pred_rf[rf] =
+            static_cast<RiseFall>(static_cast<int>(s.pred_rf[o]));
+      }
+      t.required = s.required[o];
+    }
+  };
+  if (out.states.empty()) {
+    // Endpoint-rows mode: each endpoint row is the baseline row,
+    // overwritten from the lanes when the endpoint lies in the cone.
+    const size_t n_endpoints = endpoint_ports_.size();
+    for (size_t jj = 0; jj < n_real; ++jj) {
+      const uint32_t p = block.points[jj];
+      VertexTiming* rows = out.endpoint_rows.data() + p * n_endpoints;
+      for (size_t e = 0; e < n_endpoints; ++e) {
+        const int v = endpoint_vertex(e);
+        rows[e] = (*baselines[p])[static_cast<size_t>(v)];
+        write_lane(rows[e], v, jj);
+      }
+    }
+    return;
+  }
+  // States mode: baseline copy + cone overwrite per real lane, iterated
+  // in ascending vertex id (forward_ids/backward_ids) so the output
+  // writes stream in address order; the id lists fall back to the
+  // level-ordered ones for hand-built plans that left them empty.
   const std::vector<int>& fwd_ids =
       plan.forward_ids.size() == plan.forward.size() ? plan.forward_ids
                                                      : plan.forward;
@@ -515,29 +561,14 @@ void StaEngine::evaluate_delta_block(
                                                        : plan.backward;
   for (size_t jj = 0; jj < n_real; ++jj) {
     const uint32_t p = block.points[jj];
-    TimingState& out = states[p];
-    out = *baselines[p];
+    TimingState& state = out.states[p];
+    state = *baselines[p];
     for (const int v : fwd_ids) {
-      auto& vt = out[static_cast<size_t>(v)];
-      for (int rf = 0; rf < 2; ++rf) {
-        const size_t o = off(v, rf) + jj;
-        auto& t = vt.timing[rf];
-        t.arrival = s.arrival[o];
-        t.slew = s.slew[o];
-        t.valid = s.valid[o] != 0.0;
-        vt.critical_pred[rf] = static_cast<int>(s.pred[o]);
-        vt.critical_pred_rf[rf] =
-            static_cast<RiseFall>(static_cast<int>(s.pred_rf[o]));
-        if (s.bwd_stamp[static_cast<size_t>(v)] != epoch) {
-          t.required = s.required[o];  // forward-only vertex (defensive)
-        }
-      }
+      write_lane(state[static_cast<size_t>(v)], v, jj);
     }
     for (const int v : bwd_ids) {
-      auto& vt = out[static_cast<size_t>(v)];
-      for (int rf = 0; rf < 2; ++rf) {
-        vt.timing[rf].required = s.required[off(v, rf) + jj];
-      }
+      if (s.fwd_stamp[static_cast<size_t>(v)] == epoch) continue;
+      write_lane(state[static_cast<size_t>(v)], v, jj);
     }
   }
 }
@@ -546,7 +577,7 @@ void StaEngine::evaluate_delta_block(
 // The W=4 instantiation lives in engine_lanes_avx2.cpp (compiled with
 // -mavx2); baseline-ISA TUs must not instantiate it.
 extern template void StaEngine::evaluate_delta_block<4>(
-    const LaneBlock& block, std::span<TimingState> states,
+    const LaneBlock& block, LaneOutput out,
     std::span<const EvalContext> contexts,
     std::span<const TimingState* const> baselines, wave::Workspace* workspace,
     LaneScratch& s) const;

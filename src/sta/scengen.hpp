@@ -18,8 +18,10 @@
 /// listed), `ScenarioGenerator` pulls one candidate at a time, and
 /// `StaEngine::sweep(const GeneratedSweepSpec&)` streams the survivors
 /// through the existing baseline + delta + prune pipeline in bounded
-/// chunks, so peak memory is one chunk of scenarios plus 40 B/point of
-/// endpoint summaries, never the full cross product.
+/// chunks, so peak memory is one chunk of scenarios plus
+/// SweepResult::result_bytes_per_point() of endpoint summaries per
+/// point (8 + sizeof(CriticalEndpoint) + 16 × endpoints bytes), never
+/// the full cross product.
 ///
 /// In front of propagation sit the *feasibility filters* in the spirit
 /// of FRAME (PAPERS.md, arxiv 1502.02236 — screen infeasible aggressor

@@ -430,20 +430,19 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   r.prune_ = spec.prune;
   r.prune_stats_.points = n_points;
 
-  // Writes one evaluated state's endpoint summary — exactly the fields
-  // the full-state accessors would derive, so both modes agree bitwise.
-  auto summarize = [&](size_t p, const TimingState& state) {
-    r.worst_slacks_[p] = worst_slack_in(state);
-    const auto we = worst_endpoint_in(state);
-    r.critical_[p] =
-        SweepResult::CriticalEndpoint{we.endpoint, we.rf, we.slack};
-    for (size_t e = 0; e < n_endpoints; ++e) {
-      const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
-      for (size_t rf = 0; rf < 2; ++rf) {
-        r.endpoint_arrivals_[(p * n_endpoints + e) * 2 + rf] =
-            state[static_cast<size_t>(v)].timing[rf].arrival;
-      }
-    }
+  // Writes one point's endpoint summary and returns its worst slack.
+  // Full states, reused baselines and lane-walk endpoint rows all go
+  // through the engine's one summary routine, so every mode agrees
+  // bitwise with the full-state accessors.
+  auto summarize = [&](size_t p, const auto& rows) {
+    const EndpointSummary sum = summarize_endpoints(
+        rows, std::span<double>(
+                  r.endpoint_arrivals_.data() + p * n_endpoints * 2,
+                  n_endpoints * 2));
+    r.worst_slacks_[p] = sum.worst_slack;
+    r.critical_[p] = SweepResult::CriticalEndpoint{
+        sum.critical.endpoint, sum.critical.rf, sum.critical.slack};
+    return sum.worst_slack;
   };
 
   if (!spec.delta && !prune) {
@@ -578,13 +577,11 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     r.bounds_.assign(n_points, -kInf);
     // Per-corner baseline endpoint summaries feed bounds and reuse.
     std::vector<double> base_ws(n_corners);
-    std::vector<WorstEndpoint> base_we(n_corners);
     std::vector<double> base_ep_slack(n_corners * n_endpoints, kInf);
     for (size_t c = 0; c < n_corners; ++c) {
       base_ws[c] = worst_slack_in(baselines[c]);
-      base_we[c] = worst_endpoint_in(baselines[c]);
       for (size_t e = 0; e < n_endpoints; ++e) {
-        const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
+        const int v = endpoint_vertex(e);
         double best = kInf;
         for (size_t rf = 0; rf < 2; ++rf) {
           const auto& t = baselines[c][static_cast<size_t>(v)].timing[rf];
@@ -720,6 +717,12 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   if (prune) chunk = std::min(chunk, std::max<size_t>(2 * pool->size(), 8));
   chunk = std::max<size_t>(chunk, 1);
 
+  // Endpoint-only lane sweeps keep no per-point state: the lane runner
+  // writes each point's E endpoint rows into wave_rows and the summary
+  // reads them there.  Every other path materializes full states in
+  // wave_buf (the scalar and delta = false paths stay the oracles).
+  const bool rows_only = spec.endpoint_only && spec.delta && lanes > 1;
+  std::vector<VertexTiming> wave_rows;
   std::vector<TimingState> wave_buf;
   std::vector<EvalContext> wave_ctx;
   std::vector<const TimingState*> wave_base;
@@ -742,7 +745,6 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     }
     if (wave_points.empty()) break;
     const size_t n = wave_points.size();
-    if (wave_buf.size() < n) wave_buf.resize(n);
     wave_ctx.assign(n, EvalContext{});
     wave_base.assign(n, nullptr);
     wave_plans.assign(n, nullptr);
@@ -752,33 +754,48 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       wave_base[i] = &baselines[p / n_scenarios];
       wave_plans[i] = &plans[plan_of[p % n_scenarios]];
     }
-    if (spec.delta && lanes > 1) {
+    if (rows_only) {
       // Lane-parallel: compatible points of the wave share one SoA
-      // graph walk.  Bitwise identical to the scalar branch below.
-      evaluate_points_delta_lanes(std::span<TimingState>(wave_buf.data(), n),
-                                  wave_ctx, wave_base, wave_plans, lanes,
-                                  pool, wss);
-    } else if (spec.delta) {
-      evaluate_points_delta(std::span<TimingState>(wave_buf.data(), n),
-                            wave_ctx, wave_base, wave_plans, pool, wss);
+      // graph walk, and each point leaves only its endpoint rows —
+      // bitwise the rows the full states of the branches below hold.
+      if (wave_rows.size() < n * n_endpoints) {
+        wave_rows.resize(n * n_endpoints);
+      }
+      evaluate_points_delta_lanes(
+          std::span<VertexTiming>(wave_rows.data(), n * n_endpoints),
+          wave_ctx, wave_base, wave_plans, lanes, pool, wss);
     } else {
-      evaluate_points(std::span<TimingState>(wave_buf.data(), n), wave_ctx,
-                      pool, wss);
+      if (wave_buf.size() < n) wave_buf.resize(n);
+      const std::span<TimingState> states(wave_buf.data(), n);
+      if (spec.delta && lanes > 1) {
+        evaluate_points_delta_lanes(states, wave_ctx, wave_base, wave_plans,
+                                    lanes, pool, wss);
+      } else if (spec.delta) {
+        evaluate_points_delta(states, wave_ctx, wave_base, wave_plans, pool,
+                              wss);
+      } else {
+        evaluate_points(states, wave_ctx, pool, wss);
+      }
     }
     for (size_t i = 0; i < n; ++i) {
       const size_t p = wave_points[i];
-      const double ws = worst_slack_in(wave_buf[i]);
+      double ws;
+      if (rows_only) {
+        ws = summarize(p, std::span<const VertexTiming>(
+                              wave_rows.data() + i * n_endpoints,
+                              n_endpoints));
+      } else if (spec.endpoint_only) {
+        ws = summarize(p, wave_buf[i]);
+      } else {
+        ws = worst_slack_in(wave_buf[i]);
+        r.states_[p] = std::move(wave_buf[i]);
+        wave_buf[i] = TimingState{};
+      }
       worst_seen = std::min(worst_seen, ws);
       if (prune) {
         const double gap = ws - r.bounds_[p];
         gap_sum += gap;
         gap_min = std::min(gap_min, gap);
-      }
-      if (spec.endpoint_only) {
-        summarize(p, wave_buf[i]);
-      } else {
-        r.states_[p] = std::move(wave_buf[i]);
-        wave_buf[i] = TimingState{};
       }
       ++r.prune_stats_.evaluated;
     }

@@ -190,7 +190,9 @@ struct SweepSpec {
   /// view(), timing(), critical_path()) then throw.
   bool endpoint_only = false;
   /// Points evaluated per chunk in endpoint-only mode (bounds transient
-  /// TimingState memory); 0 selects max(4 × threads, 64).
+  /// memory: a full TimingState per point on the scalar and
+  /// delta = false paths, only the endpoint rows on the lane path);
+  /// 0 selects max(4 × threads, 64).
   size_t endpoint_chunk = 0;
   /// Baseline + delta evaluation: one nominal TimingState per corner,
   /// then every scenario point re-propagates only the transitive fanout

@@ -3,8 +3,9 @@
 // grid hits, clamp edges, crossing touches), the lane-block sweep
 // against the scalar sweep bitwise at 1/2/4 threads on random
 // netlists (same-plan groups, union-merged near-miss groups, multiple
-// corners), the direct evaluate_points_delta_lanes A/B, and the
-// knob/override error paths.
+// corners), the endpoint-only lane sweep's summaries against a
+// full-state sweep, the direct evaluate_points_delta_lanes A/B (states
+// and endpoint-rows modes), and the knob/override error paths.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,24 @@ bool avx2() { return wv::lane_width_available(4); }
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure() << a << " != " << b << " (bitwise)";
+}
+
+/// Every field of two VertexTimings, bitwise.
+::testing::AssertionResult RowBitEq(const st::VertexTiming& a,
+                                    const st::VertexTiming& b) {
+  for (int rf = 0; rf < 2; ++rf) {
+    const auto& ta = a.timing[rf];
+    const auto& tb = b.timing[rf];
+    if (!BitEq(ta.arrival, tb.arrival) || !BitEq(ta.slew, tb.slew) ||
+        !BitEq(ta.required, tb.required) || ta.valid != tb.valid ||
+        a.critical_pred[rf] != b.critical_pred[rf] ||
+        a.critical_pred_rf[rf] != b.critical_pred_rf[rf]) {
+      return ::testing::AssertionFailure()
+             << "rows differ at " << st::to_string(static_cast<st::RiseFall>(
+                                         rf));
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 wv::Waveform random_waveform(std::mt19937_64& rng, size_t n) {
@@ -291,23 +310,125 @@ TEST(Lanes, SweepLaneBlocksMatchScalarSweepBitwise) {
   }
 }
 
-TEST(Lanes, EndpointOnlyLaneSweepMatchesScalar) {
-  auto f = tu::random_engine(23);
-  st::SweepSpec spec;
-  spec.scenarios = grouping_scenarios(f);
-  spec.threads = 2;
-  spec.endpoint_only = true;
-  spec.lanes = 1;
-  auto ref = f.sta->sweep(spec);
-  spec.lanes = avx2() ? 4 : 0;
-  auto got = f.sta->sweep(spec);
+namespace {
+
+/// Every endpoint-summary field of `got` against a full-state `ref`,
+/// bitwise: worst slack, critical endpoint (endpoint, rf, slack) and
+/// the arrival of every endpoint × transition.  Points `got` pruned are
+/// skipped (their accessors throw by contract).
+void expect_summaries_bitwise_equal(const st::SweepResult& ref,
+                                    const st::SweepResult& got) {
   ASSERT_EQ(ref.size(), got.size());
+  ASSERT_EQ(ref.num_endpoints(), got.num_endpoints());
   for (size_t p = 0; p < ref.size(); ++p) {
+    if (got.pruned(p)) continue;
     EXPECT_TRUE(BitEq(ref.worst_slack(p), got.worst_slack(p)))
         << "point " << p;
+    const auto a = ref.critical_endpoint(p);
+    const auto b = got.critical_endpoint(p);
+    EXPECT_EQ(a.endpoint, b.endpoint) << "point " << p;
+    EXPECT_EQ(a.rf, b.rf) << "point " << p;
+    EXPECT_TRUE(BitEq(a.slack, b.slack)) << "point " << p;
+    for (size_t e = 0; e < ref.num_endpoints(); ++e) {
+      for (const auto rf : {st::RiseFall::kRise, st::RiseFall::kFall}) {
+        EXPECT_TRUE(BitEq(ref.endpoint_arrival(p, e, rf),
+                          got.endpoint_arrival(p, e, rf)))
+            << "point " << p << " endpoint " << e << " "
+            << st::to_string(rf);
+      }
+    }
   }
   EXPECT_EQ(ref.worst_point().point, got.worst_point().point);
   EXPECT_TRUE(BitEq(ref.worst_point().slack, got.worst_point().slack));
+}
+
+/// Lane-block shapes an unpruned endpoint-only sweep forms: its waves
+/// are `chunk` consecutive corner-major points, each grouped by
+/// group_lane_blocks() over (corner baseline, corner, plan content).
+struct BlockShapes {
+  size_t singletons = 0;
+  size_t unions = 0;  ///< sub-width leftovers merged under a union plan
+};
+BlockShapes sweep_block_shapes(const st::StaEngine& sta,
+                               const std::vector<st::NoiseScenario>& scenarios,
+                               size_t n_corners, size_t chunk, int width) {
+  std::vector<st::StaEngine::DeltaPlan> plans;
+  for (const auto& sc : scenarios) plans.push_back(sta.delta_plan(sc));
+  std::vector<st::TimingState> baselines(n_corners);
+  std::vector<st::Corner> corners(n_corners);
+  const size_t n_points = n_corners * scenarios.size();
+  BlockShapes shapes;
+  for (size_t base = 0; base < n_points; base += chunk) {
+    const size_t n = std::min(chunk, n_points - base);
+    std::vector<st::StaEngine::EvalContext> contexts(n);
+    std::vector<const st::TimingState*> base_ptrs(n);
+    std::vector<const st::StaEngine::DeltaPlan*> plan_ptrs(n);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t c = (base + i) / scenarios.size();
+      contexts[i].corner = &corners[c];
+      base_ptrs[i] = &baselines[c];
+      plan_ptrs[i] = &plans[(base + i) % scenarios.size()];
+    }
+    for (const auto& b :
+         sta.group_lane_blocks(contexts, base_ptrs, plan_ptrs, width)) {
+      shapes.singletons += b.points.size() == 1 ? 1 : 0;
+      shapes.unions += b.owned_plan != nullptr ? 1 : 0;
+    }
+  }
+  return shapes;
+}
+
+}  // namespace
+
+TEST(Lanes, EndpointOnlyLaneSweepMatchesScalar) {
+  auto f = tu::random_engine(23);
+  st::Corner slow;
+  slow.name = "slow";
+  slow.cell_delay_scale = 1.08;
+  slow.cell_slew_scale = 1.05;
+  slow.wire_delay_scale = 1.15;
+
+  st::SweepSpec ref_spec;
+  ref_spec.scenarios = grouping_scenarios(f);
+  // A point whose cone misses every endpoint: the empty scenario (its
+  // plan is empty, so every endpoint row is the corner baseline's).
+  ref_spec.scenarios.push_back(st::NoiseScenario{});
+  ref_spec.scenarios.back().name = "clean";
+  ASSERT_TRUE(f.sta->delta_plan(ref_spec.scenarios.back()).endpoints.empty());
+  ref_spec.corners = {st::Corner{}, slow};
+  ref_spec.threads = 2;
+  ref_spec.lanes = 1;  // full-state scalar reference
+  const auto ref = f.sta->sweep(ref_spec);
+
+  // endpoint_chunk 1 makes every lane block a singleton (the width-4
+  // scalar branch), 3 forces several waves of merged leftovers, 0 runs
+  // one wave of mixed blocks.
+  const int lanes = avx2() ? 4 : 0;
+  for (const auto prune : {st::PruneMode::kOff, st::PruneMode::kSafe}) {
+    for (const size_t chunk : {size_t{1}, size_t{3}, size_t{0}}) {
+      st::SweepSpec spec = ref_spec;
+      spec.endpoint_only = true;
+      spec.prune = prune;
+      spec.endpoint_chunk = chunk;
+      spec.lanes = lanes;
+      const auto got = f.sta->sweep(spec);
+      SCOPED_TRACE("prune=" + std::string(st::to_string(prune)) +
+                   " chunk=" + std::to_string(chunk));
+      expect_summaries_bitwise_equal(ref, got);
+      if (prune == st::PruneMode::kSafe) {
+        // The clean point at both corners is reused from the baseline.
+        EXPECT_GE(got.prune_stats().reused, 2u);
+      }
+    }
+  }
+  if (avx2()) {
+    // The unpruned waves above really form the shapes they stand for.
+    const auto& sc = ref_spec.scenarios;
+    EXPECT_EQ(sweep_block_shapes(*f.sta, sc, 2, 1, 4).singletons,
+              2 * sc.size());
+    EXPECT_GT(sweep_block_shapes(*f.sta, sc, 2, 3, 4).unions, 0u);
+    EXPECT_GT(sweep_block_shapes(*f.sta, sc, 2, 64, 4).unions, 0u);
+  }
 }
 
 TEST(Lanes, PrunedLaneSweepStaysExact) {
@@ -373,6 +494,33 @@ TEST(Lanes, EvaluatePointsDeltaLanesMatchesScalarDirect) {
     EXPECT_TRUE(tu::states_bitwise_equal(ref[p], got[p], &sta))
         << "W=1 point " << p;
   }
+
+  // Endpoint-rows mode: each point's E rows must equal the states-mode
+  // result at the endpoint vertices, every field bitwise.
+  const size_t n_endpoints = sta.endpoint_ports().size();
+  ASSERT_GT(n_endpoints, 0u);
+  std::vector<size_t> endpoint_vertex(n_endpoints);
+  for (size_t e = 0; e < n_endpoints; ++e) {
+    const auto& port = f.netlist->ports()[static_cast<size_t>(
+        sta.endpoint_ports()[e])];
+    endpoint_vertex[e] = static_cast<size_t>(sta.pin(port.name).index);
+  }
+  const auto expect_rows = [&](const std::vector<st::VertexTiming>& rows,
+                               size_t first, size_t count,
+                               const std::string& what) {
+    ASSERT_EQ(rows.size(), count * n_endpoints);
+    for (size_t i = 0; i < count; ++i) {
+      for (size_t e = 0; e < n_endpoints; ++e) {
+        EXPECT_TRUE(RowBitEq(ref[first + i][endpoint_vertex[e]],
+                             rows[i * n_endpoints + e]))
+            << what << " point " << first + i << " endpoint " << e;
+      }
+    }
+  };
+  std::vector<st::VertexTiming> rows(n * n_endpoints);
+  sta.evaluate_points_delta_lanes(rows, contexts, baselines, plan_ptrs, 1);
+  expect_rows(rows, 0, n, "rows W=1");
+
   if (avx2()) {
     std::vector<st::TimingState> wide(n);
     for (const int threads : {0, 2}) {
@@ -382,15 +530,36 @@ TEST(Lanes, EvaluatePointsDeltaLanesMatchesScalarDirect) {
         pool = std::make_unique<wu::ThreadPool>(threads);
         wss.resize(static_cast<size_t>(threads));
       }
-      sta.evaluate_points_delta_lanes(
-          wide, contexts, baselines, plan_ptrs, 4, pool.get(),
-          std::span<wv::Workspace>(wss.data(), wss.size()));
+      const std::span<wv::Workspace> ws_span(wss.data(), wss.size());
+      sta.evaluate_points_delta_lanes(wide, contexts, baselines, plan_ptrs,
+                                      4, pool.get(), ws_span);
       for (size_t p = 0; p < n; ++p) {
         EXPECT_TRUE(tu::states_bitwise_equal(ref[p], wide[p], &sta))
             << "W=4 threads=" << threads << " point " << p;
       }
+      std::vector<st::VertexTiming> wide_rows(n * n_endpoints);
+      sta.evaluate_points_delta_lanes(wide_rows, contexts, baselines,
+                                      plan_ptrs, 4, pool.get(), ws_span);
+      expect_rows(wide_rows, 0, n,
+                  "rows W=4 threads=" + std::to_string(threads));
+      // One point per call: a singleton block, which takes the scalar
+      // branch into the worker's scratch state.
+      for (size_t p = 0; p < n; ++p) {
+        std::vector<st::VertexTiming> single(n_endpoints);
+        sta.evaluate_points_delta_lanes(
+            single, std::span(contexts).subspan(p, 1),
+            std::span(baselines).subspan(p, 1),
+            std::span(plan_ptrs).subspan(p, 1), 4, pool.get(), ws_span);
+        expect_rows(single, p, 1,
+                    "singleton W=4 threads=" + std::to_string(threads));
+      }
     }
   }
+  // A row buffer of the wrong size is rejected up front.
+  std::vector<st::VertexTiming> short_rows(n * n_endpoints - 1);
+  EXPECT_THROW(sta.evaluate_points_delta_lanes(short_rows, contexts,
+                                               baselines, plan_ptrs, 1),
+               wu::Error);
 }
 
 TEST(Lanes, GroupingIsContentBasedAndBounded) {
