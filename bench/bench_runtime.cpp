@@ -1854,56 +1854,6 @@ void constrain_stitched(st::StaEngine& sta, const nl::Netlist& top) {
   }
 }
 
-/// Deterministic grid block: `width` parallel chains of `layers` gates
-/// with nearest-neighbour reconvergence, every interior net consumed —
-/// the interface stays `width` inputs + `width` outputs however deep
-/// the block grows.  (make_random_dag leaves ~40% of its nets
-/// unconsumed and each becomes a port, which ruins the
-/// interior-to-interface ratio abstraction trades on.)
-nl::Netlist make_grid_block(int width, int layers) {
-  nl::Netlist block;
-  block.name = "grid";
-  std::vector<std::string> prev;
-  for (int i = 0; i < width; ++i) {
-    const std::string name = "a" + std::to_string(i);
-    block.add_port(name, nl::PortDirection::kInput);
-    prev.push_back(name);
-  }
-  int gate_id = 0;
-  for (int l = 0; l < layers; ++l) {
-    std::vector<std::string> next;
-    for (int g = 0; g < width; ++g) {
-      const std::string out =
-          "n" + std::to_string(l) + "_" + std::to_string(g);
-      nl::Instance inst;
-      inst.name = "g" + std::to_string(gate_id++);
-      switch ((l + g) % 3) {
-        case 0:
-          inst.cell = "INVX1";
-          inst.pins = {{"A", prev[static_cast<size_t>(g)]}, {"Y", out}};
-          break;
-        case 1:
-          inst.cell = "INVX4";
-          inst.pins = {{"A", prev[static_cast<size_t>(g)]}, {"Y", out}};
-          break;
-        default:
-          inst.cell = "NAND2X1";
-          inst.pins = {{"A", prev[static_cast<size_t>(g)]},
-                       {"B", prev[static_cast<size_t>((g + 1) % width)]},
-                       {"Y", out}};
-          break;
-      }
-      block.add_instance(std::move(inst));
-      next.push_back(out);
-    }
-    prev = std::move(next);
-  }
-  for (const auto& net : prev)
-    block.add_port(net, nl::PortDirection::kOutput);
-  block.validate();
-  return block;
-}
-
 /// `count` single-net aggressor scenarios on nets inside the expanded
 /// copy ("u0/...") — the same nets exist in the flat oracle, so one
 /// scenario set drives both sides of the comparison.
@@ -1943,7 +1893,7 @@ void report_hier_summary() {
 
   // Deep, narrow block: 960 gates behind a 16-port interface, so
   // abstracting a copy erases ~2.2k interior vertices per 16 kept.
-  const nl::Netlist block = make_grid_block(8, 120);
+  const nl::Netlist block = nl::make_grid_block(8, 120);
 
   st::BlockModel model;
   const double t_extract = wall_seconds([&] {

@@ -83,6 +83,48 @@ struct Rng {
 
 }  // namespace
 
+Netlist make_grid_block(int layer_width, int layers) {
+  util::require(layer_width >= 2 && layers >= 1,
+                "make_grid_block: need layer_width >= 2 and layers >= 1");
+  Netlist block;
+  block.name = "grid";
+  const auto w = static_cast<size_t>(layer_width);
+  std::vector<std::string> prev;
+  for (size_t i = 0; i < w; ++i) {
+    prev.push_back("a" + std::to_string(i));
+    block.add_port(prev.back(), PortDirection::kInput);
+  }
+  int gate_id = 0;
+  for (int l = 0; l < layers; ++l) {
+    std::vector<std::string> next;
+    for (size_t g = 0; g < w; ++g) {
+      std::string out = "n" + std::to_string(l) + "_" + std::to_string(g);
+      Instance inst;
+      inst.name = "g" + std::to_string(gate_id++);
+      switch ((static_cast<size_t>(l) + g) % 3) {
+        case 0:
+          inst.cell = "INVX1";
+          inst.pins = {{"A", prev[g]}, {"Y", out}};
+          break;
+        case 1:
+          inst.cell = "INVX4";
+          inst.pins = {{"A", prev[g]}, {"Y", out}};
+          break;
+        default:
+          inst.cell = "NAND2X1";
+          inst.pins = {{"A", prev[g]}, {"B", prev[(g + 1) % w]}, {"Y", out}};
+          break;
+      }
+      block.add_instance(std::move(inst));
+      next.push_back(std::move(out));
+    }
+    prev = std::move(next);
+  }
+  for (const auto& net : prev) block.add_port(net, PortDirection::kOutput);
+  block.validate();
+  return block;
+}
+
 Netlist make_random_dag(uint64_t seed, int inputs, int layers,
                         int layer_width) {
   util::require(inputs >= 1 && layers >= 1 && layer_width >= 1,

@@ -26,6 +26,15 @@ namespace waveletic::netlist {
 [[nodiscard]] Netlist make_random_dag(uint64_t seed, int inputs, int layers,
                                       int layer_width);
 
+/// Deterministic grid block: `layer_width` parallel chains of `layers`
+/// gates (INVX1 / INVX4 / NAND2X1 by position) with nearest-neighbour
+/// reconvergence and every interior net consumed, so the interface
+/// stays `layer_width` inputs a<i> + `layer_width` outputs however deep
+/// the block grows — the shape hierarchical abstraction trades on
+/// (make_random_dag instead turns every unconsumed net into a port).
+/// Requires the VCL013 cell set.
+[[nodiscard]] Netlist make_grid_block(int layer_width, int layers);
+
 /// How stitch_blocks() wires the tiled block copies together.
 enum class StitchTopology {
   /// Every copy's inputs/outputs are top-level ports — copies are

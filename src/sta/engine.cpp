@@ -109,6 +109,8 @@ StaEngine::StaEngine(const netlist::Netlist& nl, const liberty::Library& lib)
       graph_tag_(graph_->tag) {
   noise_method_ = std::make_unique<core::SgdpMethod>();
   const size_t n_nets = nl.nets().size();
+  input_constraints_.assign(ports_.size(), {});
+  required_.assign(ports_.size(), std::numeric_limits<double>::infinity());
   output_loads_.assign(ports_.size(), 0.0);
   net_parasitics_.assign(n_nets, {0.0, 0.0});
   net_loads_.assign(n_nets, 0.0);
@@ -151,23 +153,14 @@ void StaEngine::copy_config_from(const StaEngine& other) {
   util::require(ports_.size() == other.ports_.size(),
                 "copy_config_from: port counts differ (", ports_.size(),
                 " vs ", other.ports_.size(), ")");
-  input_constraints_.clear();
-  required_.clear();
   for (size_t p = 0; p < ports_.size(); ++p) {
     util::require(ports_[p].name == other.ports_[p].name,
                   "copy_config_from: port order differs at ordinal ", p, " (",
                   ports_[p].name, " vs ", other.ports_[p].name, ")");
-    // Input/required constraints are keyed by port VERTEX, which may
-    // differ across graphs; remap through the shared port ordinal.
-    const auto ic = other.input_constraints_.find(other.ports_[p].vertex);
-    if (ic != other.input_constraints_.end()) {
-      input_constraints_[ports_[p].vertex] = ic->second;
-    }
-    const auto rq = other.required_.find(other.ports_[p].vertex);
-    if (rq != other.required_.end()) {
-      required_[ports_[p].vertex] = rq->second;
-    }
   }
+  // Every port table is keyed by the shared port ordinal.
+  input_constraints_ = other.input_constraints_;
+  required_ = other.required_;
   output_loads_ = other.output_loads_;
   net_parasitics_ = other.net_parasitics_;
   net_annotations_ = other.net_annotations_;
@@ -296,6 +289,9 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
   // Vertices + port records for ports.
   for (const auto& port : nl.ports()) {
     const int v = vertex(port.name);
+    // The port constraint tables rely on this: port ordinal == vertex.
+    util::require(static_cast<size_t>(v) == g.ports.size(), "port ",
+                  port.name, " is declared twice");
     g.ports.push_back({port.name, v, port.direction});
   }
   // Vertices + cell arc edges for instances.  Each instance pin is
@@ -429,6 +425,13 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
   for (size_t p = 0; p < g.ports.size(); ++p) {
     if (g.ports[p].direction == netlist::PortDirection::kOutput) {
       g.endpoint_ports.push_back(static_cast<int32_t>(p));
+      // Net edges start at drivers and cell edges at instance pins, so
+      // an endpoint drives nothing and its required time is its
+      // constraint in every scenario; the endpoint-rows lane walk relies
+      // on that.
+      const auto v = static_cast<size_t>(g.ports[p].vertex);
+      util::require(g.out_edges[v].empty(), "output port ",
+                    g.ports[p].name, " drives an edge");
     }
   }
   return graph;
@@ -550,7 +553,8 @@ void StaEngine::set_input(PortId port, RiseFall rf, double arrival,
   util::require(p.direction == netlist::PortDirection::kInput,
                 "set_input: ", p.name, " is not an input port");
   util::require(slew > 0.0, "set_input: non-positive slew");
-  auto& c = input_constraints_[p.vertex][static_cast<size_t>(rf)];
+  auto& c = input_constraints_[static_cast<size_t>(p.vertex)]
+                                [static_cast<size_t>(rf)];
   c.arrival = arrival;
   c.slew = slew;
   c.set = true;
@@ -579,7 +583,7 @@ void StaEngine::set_required(PortId port, double time) {
   const auto& p = ports_[static_cast<size_t>(check(port))];
   util::require(p.direction == netlist::PortDirection::kOutput,
                 "set_required: ", p.name, " is not an output port");
-  required_[p.vertex] = time;
+  required_[static_cast<size_t>(p.vertex)] = time;
   analyzed_ = false;
 }
 
@@ -690,19 +694,22 @@ void StaEngine::prepare() { compute_loads(); }
 
 void StaEngine::init_state(TimingState& state) const {
   state.reset(vertex_names_.size());
-  for (const auto& [v, per_rf] : input_constraints_) {
-    for (size_t rf = 0; rf < 2; ++rf) {
-      if (!per_rf[rf].set) continue;
-      auto& t = state[static_cast<size_t>(v)].timing[rf];
-      t.arrival = per_rf[rf].arrival;
-      t.slew = per_rf[rf].slew;
-      t.valid = true;
-    }
+  for (size_t v = 0; v < ports_.size(); ++v) {
+    apply_port_constraints(state[v], v);
   }
-  for (const auto& [v, time] : required_) {
-    state[static_cast<size_t>(v)].timing[0].required = time;
-    state[static_cast<size_t>(v)].timing[1].required = time;
+}
+
+void StaEngine::apply_port_constraints(VertexTiming& vt, size_t port) const {
+  for (size_t rf = 0; rf < 2; ++rf) {
+    const InputConstraint& c = input_constraints_[port][rf];
+    if (!c.set) continue;
+    auto& t = vt.timing[rf];
+    t.arrival = c.arrival;
+    t.slew = c.slew;
+    t.valid = true;
   }
+  vt.timing[0].required = required_[port];
+  vt.timing[1].required = required_[port];
 }
 
 void StaEngine::relax(TimingState& state, int to, RiseFall to_rf,
@@ -1127,32 +1134,15 @@ StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
 void StaEngine::reset_vertex(TimingState& state, int v) const {
   auto& vt = state[static_cast<size_t>(v)];
   vt = VertexTiming{};
-  const auto ic = input_constraints_.find(v);
-  if (ic != input_constraints_.end()) {
-    for (size_t rf = 0; rf < 2; ++rf) {
-      if (!ic->second[rf].set) continue;
-      auto& t = vt.timing[rf];
-      t.arrival = ic->second[rf].arrival;
-      t.slew = ic->second[rf].slew;
-      t.valid = true;
-    }
-  }
-  const auto rq = required_.find(v);
-  if (rq != required_.end()) {
-    vt.timing[0].required = rq->second;
-    vt.timing[1].required = rq->second;
+  if (static_cast<size_t>(v) < ports_.size()) {
+    apply_port_constraints(vt, static_cast<size_t>(v));
   }
 }
 
 void StaEngine::reset_required(TimingState& state, int v) const {
   auto& vt = state[static_cast<size_t>(v)];
-  vt.timing[0].required = std::numeric_limits<double>::infinity();
-  vt.timing[1].required = std::numeric_limits<double>::infinity();
-  const auto rq = required_.find(v);
-  if (rq != required_.end()) {
-    vt.timing[0].required = rq->second;
-    vt.timing[1].required = rq->second;
-  }
+  vt.timing[0].required = required_of(v);
+  vt.timing[1].required = required_of(v);
 }
 
 void StaEngine::evaluate_delta(TimingState& state,

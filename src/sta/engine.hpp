@@ -40,8 +40,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -365,7 +365,9 @@ class StaEngine {
     /// Dirty vertices — the transitive fanout cone of the scenario's
     /// annotated nets (sink vertices of their net edges, closed over
     /// out-edges) — sorted by (topological level, vertex): a valid
-    /// serial forward-propagation order.
+    /// serial forward-propagation order.  evaluate_delta() folds all
+    /// of it; for the lane walker it is the structural bound, not the
+    /// work (see evaluate_delta_block).
     std::vector<int> forward;
     /// Required-time recompute set: the transitive fanin closure of
     /// `forward` (which it includes), sorted by (descending level,
@@ -526,10 +528,17 @@ class StaEngine {
       std::span<const DeltaPlan* const> plans, int width) const;
 
   /// Lane-parallel evaluate_points_delta(): same inputs, same results,
-  /// bit for bit.  `lanes` must be 1 or 4; 1 runs the W=1 oracle
-  /// instantiation of the block walker (available on every build),
-  /// 4 requires AVX2 (wave::lane_width_available(4)) and throws
-  /// util::Error otherwise.  Blocks run as independent pool tasks on
+  /// bit for bit, for points that differ from their baseline only
+  /// through their contexts' net annotations — a scenario table
+  /// (compile_edge_annotations() of a scenario) over a baseline
+  /// evaluated under the engine-level table, the same corner and the
+  /// same configuration, as sweeps build them.  The walker folds only
+  /// cone vertices with a changed fan-in or an annotated net in-edge,
+  /// so configuration edits (the service's edit seeds) must take
+  /// evaluate_points_delta() instead.  `lanes` must be 1 or 4; 1 runs
+  /// the W=1 oracle instantiation of the block walker (available on
+  /// every build), 4 requires AVX2 (wave::lane_width_available(4)) and
+  /// throws util::Error otherwise.  Blocks run as independent pool tasks on
   /// the shared point scheduler, into states allocated on the calling
   /// thread as in evaluate_points(); the W=1 instantiation of the block
   /// walker is the oracle the W=4 path must match bitwise (asserted by
@@ -544,11 +553,12 @@ class StaEngine {
   /// endpoint rows, endpoint_rows[p * E + e] for E = endpoint_ports()
   /// .size() — bitwise the VertexTiming that the states overload leaves
   /// at endpoint e's vertex.  No per-point TimingState exists: the
-  /// walker takes a row from its lanes where the endpoint lies in the
-  /// block's cone and from the point's baseline otherwise, and a
-  /// width-4 singleton block evaluates into one scratch state per
-  /// worker and copies its E rows out.  Endpoint-only sweeps summarize
-  /// straight from these rows.
+  /// walker builds a point's rows in its worker's scratch, from its
+  /// lanes where the endpoint changed and from the point's baseline
+  /// otherwise (a width-4 singleton block evaluates into one scratch
+  /// state per worker and copies its E rows out), and this overload
+  /// copies them into `endpoint_rows`.  Endpoint-only sweeps take the
+  /// same rows from the same scratch and summarize them in place.
   void evaluate_points_delta_lanes(
       std::span<VertexTiming> endpoint_rows,
       std::span<const EvalContext> contexts,
@@ -743,6 +753,15 @@ class StaEngine {
   void reset_vertex(TimingState& state, int v) const;
   /// Resets only the required times of `v` (the backward-delta reset).
   void reset_required(TimingState& state, int v) const;
+  /// Writes the input and required constraints of port ordinal `port`
+  /// (== its vertex) into `vt`; unconstrained fields are left alone.
+  void apply_port_constraints(VertexTiming& vt, size_t port) const;
+  /// The required-time constraint of vertex `v` (+inf: none).
+  [[nodiscard]] double required_of(int v) const noexcept {
+    return static_cast<size_t>(v) < required_.size()
+               ? required_[static_cast<size_t>(v)]
+               : std::numeric_limits<double>::infinity();
+  }
   void propagate_cell_edge(const CellArcEdge& e, TimingState& state,
                            const EvalContext& ctx) const;
   void propagate_net_edge(size_t edge_index, TimingState& state,
@@ -759,28 +778,39 @@ class StaEngine {
                     double slew, int from, RiseFall from_rf);
 
   /// Per-worker scratch of the lane-block walker: epoch-stamped
-  /// vertex→slot maps plus the SoA lane arrays (defined in
+  /// vertex stamps and slots plus the SoA lane arrays (defined in
   /// engine_lanes_impl.hpp; sized O(V) once, reused across blocks).
   struct LaneScratch;
   /// Where the lane runner writes its points: full `states` (one per
-  /// point), or — when `states` is empty — only each point's endpoint
-  /// rows, endpoint_rows[p * endpoint_ports().size() + e].
+  /// point), or — when `states` is empty — each point's E endpoint
+  /// rows, built in the running worker's scratch and handed to
+  /// `on_rows` as (point, rows).  Calls for distinct points may run
+  /// concurrently; the rows are valid only during the call.
   struct LaneOutput {
     std::span<TimingState> states;
-    std::span<VertexTiming> endpoint_rows;
+    const std::function<void(uint32_t, std::span<const VertexTiming>)>*
+        on_rows = nullptr;
   };
-  /// The body of both evaluate_points_delta_lanes() overloads.
-  void run_lane_blocks(LaneOutput out,
-                       std::span<const EvalContext> contexts,
-                       std::span<const TimingState* const> baselines,
-                       std::span<const DeltaPlan* const> plans, int lanes,
-                       util::ThreadPool* pool,
-                       std::span<wave::Workspace> worker_workspaces) const;
-  /// Walks one lane block: reset → forward fold → backward fold of
-  /// `block.plan` with W lanes in flight, then writes each real lane's
-  /// results into `out` — in states mode a baseline copy overwritten
-  /// over the cone, in endpoint-rows mode only the E endpoint rows,
-  /// read from the lanes where the endpoint vertex is in the cone and
+  /// The body of both evaluate_points_delta_lanes() overloads (the
+  /// sweep calls it directly).  Returns Σ over the points of the
+  /// forward vertices folded for them (the changed-work statistic,
+  /// counted per worker and merged here).
+  uint64_t run_lane_blocks(LaneOutput out,
+                           std::span<const EvalContext> contexts,
+                           std::span<const TimingState* const> baselines,
+                           std::span<const DeltaPlan* const> plans,
+                           int lanes, util::ThreadPool* pool,
+                           std::span<wave::Workspace> worker_workspaces) const;
+  /// Walks one lane block with W lanes in flight: a value-change-bounded
+  /// forward pass over `block.plan->forward` (which bounds the work but
+  /// is not the work: only vertices with a changed fan-in source or an
+  /// annotated net in-edge in a real lane are reset and folded, and a
+  /// folded vertex is stamped changed only when some real lane differs
+  /// from the baseline bitwise), then — in states mode only — the reset
+  /// and fold of required times over `block.plan->backward`.  It writes each real lane's results
+  /// into `out`: in states mode a baseline copy overwritten at changed
+  /// and required-time vertices, in endpoint-rows mode only the E
+  /// endpoint rows, taken from the lanes where the endpoint changed and
   /// from the baseline otherwise.  Instantiated at W=1
   /// (engine_lanes.cpp — the oracle/fallback) and W=4
   /// (engine_lanes_avx2.cpp, compiled with -mavx2).
@@ -812,8 +842,11 @@ class StaEngine {
   const std::vector<int>& vertex_level_ = graph_->vertex_level;
   const std::vector<int32_t>& endpoint_ports_ = graph_->endpoint_ports;
 
-  std::map<int, std::array<InputConstraint, 2>> input_constraints_;
-  std::map<int, double> required_;
+  // Port constraint tables, by port ordinal — which is also the port's
+  // vertex id (make_graph interns ports first), so propagation indexes
+  // them directly with the vertex of any v < ports_.size().
+  std::vector<std::array<InputConstraint, 2>> input_constraints_;
+  std::vector<double> required_;      ///< by port ordinal (+inf = none)
   std::vector<double> output_loads_;  ///< by port ordinal (0 = none)
   /// Dense per-net tables indexed by NetId::index.
   std::vector<std::pair<double, double>> net_parasitics_;  ///< (cap, delay)

@@ -3,7 +3,9 @@
 // block walker and dispatches to the W=4 instantiation (built in
 // engine_lanes_avx2.cpp with -mavx2) without ever expanding it here.
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -197,12 +199,8 @@ void StaEngine::evaluate_points_delta_lanes(
   util::require(states.size() == contexts.size(),
                 "evaluate_points_delta_lanes: ", states.size(),
                 " states vs ", contexts.size(), " contexts");
-  // Allocated here, on the caller, for the reason evaluate_points() gives:
-  // a wave of a few blocks on many workers otherwise spreads its states
-  // over the workers' malloc arenas differently from run to run.
-  for (auto& state : states) state.reserve(vertex_names_.size());
-  run_lane_blocks({states, {}}, contexts, baselines, plans, lanes, pool,
-                  worker_workspaces);
+  (void)run_lane_blocks({states}, contexts, baselines, plans, lanes, pool,
+                        worker_workspaces);
 }
 
 void StaEngine::evaluate_points_delta_lanes(
@@ -217,11 +215,18 @@ void StaEngine::evaluate_points_delta_lanes(
                 "evaluate_points_delta_lanes: ", endpoint_rows.size(),
                 " endpoint rows for ", contexts.size(), " points x ",
                 endpoint_ports_.size(), " endpoints");
-  run_lane_blocks({{}, endpoint_rows}, contexts, baselines, plans, lanes,
-                  pool, worker_workspaces);
+  const size_t n_endpoints = endpoint_ports_.size();
+  const std::function<void(uint32_t, std::span<const VertexTiming>)>
+      copy_rows = [&](uint32_t p, std::span<const VertexTiming> rows) {
+        std::copy(rows.begin(), rows.end(),
+                  endpoint_rows.begin() +
+                      static_cast<ptrdiff_t>(p * n_endpoints));
+      };
+  (void)run_lane_blocks({{}, &copy_rows}, contexts, baselines, plans, lanes,
+                        pool, worker_workspaces);
 }
 
-void StaEngine::run_lane_blocks(
+uint64_t StaEngine::run_lane_blocks(
     LaneOutput out, std::span<const EvalContext> contexts,
     std::span<const TimingState* const> baselines,
     std::span<const DeltaPlan* const> plans, int lanes,
@@ -236,13 +241,23 @@ void StaEngine::run_lane_blocks(
                 ": lanes must be 1 or 4, got ", lanes);
   util::require(wave::lane_width_available(lanes), kCaller, ": lane width ",
                 lanes, " not available on this build/CPU");
-  if (contexts.empty()) return;
+  if (contexts.empty()) return 0;
+  util::require(!out.states.empty() || out.on_rows != nullptr, kCaller,
+                ": endpoint-rows mode needs a row callback");
 
   const auto blocks = group_lane_blocks(contexts, baselines, plans, lanes);
   const size_t pool_workers =
       pool != nullptr && pool->size() > 1 ? pool->size() : 1;
   std::vector<LaneScratch> scratch(pool_workers);
   const size_t n_endpoints = endpoint_ports_.size();
+  if (out.states.empty()) {
+    for (auto& s : scratch) s.rows.resize(n_endpoints);
+  } else {
+    // Allocated here, on the caller, for the reason evaluate_points()
+    // gives: a wave of a few blocks on many workers otherwise spreads its
+    // states over the workers' malloc arenas differently from run to run.
+    for (auto& state : out.states) state.reserve(vertex_names_.size());
+  }
   detail::run_tasks(
       kCaller, blocks.size(), pool, worker_workspaces,
       [&](size_t worker, size_t bi, wave::Workspace* ws) {
@@ -270,15 +285,20 @@ void StaEngine::run_lane_blocks(
         if (ws != nullptr) task_ctx.workspace = ws;
         if (!out.states.empty()) {
           evaluate_delta(out.states[p], *baselines[p], *plans[p], task_ctx);
+          scratch[worker].folded += plans[p]->forward.size();
           return;
         }
-        TimingState& point = scratch[worker].point;
-        evaluate_delta(point, *baselines[p], *plans[p], task_ctx);
-        VertexTiming* rows = out.endpoint_rows.data() + p * n_endpoints;
+        LaneScratch& s = scratch[worker];
+        evaluate_delta(s.point, *baselines[p], *plans[p], task_ctx);
+        s.folded += plans[p]->forward.size();
         for (size_t e = 0; e < n_endpoints; ++e) {
-          rows[e] = point[static_cast<size_t>(endpoint_vertex(e))];
+          s.rows[e] = s.point[static_cast<size_t>(endpoint_vertex(e))];
         }
+        (*out.on_rows)(p, s.rows);
       });
+  uint64_t folded = 0;
+  for (const auto& s : scratch) folded += s.folded;
+  return folded;
 }
 
 // The oracle instantiation: structurally the scalar fold, one point per

@@ -8,7 +8,15 @@
 // The walker replays evaluate_delta() with W sweep points in flight:
 // one pass over the plan's worklists, every (vertex, rise/fall)
 // carrying W points' arrival/slew/required/valid/critical-pred values
-// in adjacent lanes of a structure-of-arrays scratch.  Lane j is an
+// in adjacent lanes of a structure-of-arrays scratch.  The forward
+// pass is value-change-bounded: the plan's cone is only the structural
+// bound, and a vertex is reset and folded only when a fan-in source
+// changed in this block or a net in-edge is annotated in a real lane
+// (anything else would refold the baseline's inputs into the
+// baseline's value).  The backward (required-time) pass runs in states
+// mode only: endpoint-rows mode reads only endpoints, and an endpoint
+// has no out-edge (make_graph asserts it), so its required time is its
+// constraint, which its baseline row already holds.  Lane j is an
 // independent scalar fold — candidate values are computed for all
 // lanes with the exact scalar op sequence (via wave::Lane<W>) and
 // committed through per-lane select masks that reproduce the scalar
@@ -28,12 +36,15 @@
 // lanes cannot perturb real ones).
 //
 // Materialization writes either a full TimingState per real lane
-// (baseline copy + cone overwrite) or, in endpoint-rows mode, only the
-// lane's E endpoint rows — the same values the full state would hold at
-// those vertices, with no V-sized copy.
+// (baseline copy + overwrite of changed and required-time vertices) or,
+// in endpoint-rows mode, only the lane's E endpoint rows — the same
+// values the full state would hold at those vertices, with no V-sized
+// copy — built in the worker's scratch and handed to LaneOutput::on_rows
+// point by point.
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -42,21 +53,30 @@
 
 namespace waveletic::sta {
 
-/// Per-worker scratch of the lane-block walker.  The vertex→slot maps
-/// are epoch-stamped so a new block costs O(cone), not O(V); the SoA
+/// Per-worker scratch of the lane-block walker.  The vertex stamps are
+/// epoch-stamped so a new block costs O(cone), not O(V); the SoA
 /// arrays are laid out field[(slot * 2 + rf) * W + lane] and grow
 /// monotonically.  critical_pred / critical_pred_rf are stored as
 /// doubles (exact for any vertex id) so masked commits stay uniform
 /// vector selects.
 struct StaEngine::LaneScratch {
-  std::vector<uint32_t> fwd_stamp;  ///< == epoch: (v, rf) arrival state in SoA
+  /// == epoch: v changed in this block — some real lane's arrival-side
+  /// state (in the SoA) differs from the baseline.  Unstamped vertices
+  /// read as the baseline.
+  std::vector<uint32_t> fwd_stamp;
   std::vector<uint32_t> bwd_stamp;  ///< == epoch: (v, rf) required state in SoA
-  std::vector<int32_t> slot;        ///< dense slot of a stamped vertex
+  std::vector<int32_t> slot;        ///< dense SoA slot of a folded vertex
   uint32_t epoch = 0;
   std::vector<double> arrival, slew, required, valid, pred, pred_rf;
   /// The point state a width-4 singleton block evaluates into in
   /// endpoint-rows mode (scalar evaluate_delta(); reused across points).
   TimingState point;
+  /// One point's E endpoint rows in endpoint-rows mode (handed to
+  /// LaneOutput::on_rows straight from here).
+  std::vector<VertexTiming> rows;
+  /// Σ over this worker's points of the forward vertices folded for
+  /// them (a block's folds count once per real lane).
+  uint64_t folded = 0;
 
   void ensure(size_t num_vertices) {
     if (fwd_stamp.size() < num_vertices) {
@@ -104,6 +124,9 @@ void StaEngine::evaluate_delta_block(
   const D one = L::broadcast(1.0);
 
   // --- slot assignment (epoch-stamped: no O(V) clearing per block) ---
+  // Required times are walked in states mode only: endpoint-rows mode
+  // reads only endpoints, whose required time is their constraint.
+  const bool walk_backward = !out.states.empty();
   s.ensure(vertex_names_.size());
   if (++s.epoch == 0) {  // wrapped: hard reset once per 2^32 blocks
     std::fill(s.fwd_stamp.begin(), s.fwd_stamp.end(), 0u);
@@ -112,26 +135,33 @@ void StaEngine::evaluate_delta_block(
   }
   const uint32_t epoch = s.epoch;
   int32_t n_slots = 0;
-  for (const int v : plan.backward) {
-    s.slot[static_cast<size_t>(v)] = n_slots++;
-    s.bwd_stamp[static_cast<size_t>(v)] = epoch;
-  }
-  for (const int v : plan.forward) {
-    // The backward set includes the forward set by construction; the
-    // guard keeps slots valid even for hand-built plans that violate it.
-    if (s.bwd_stamp[static_cast<size_t>(v)] != epoch) {
+  if (walk_backward) {
+    for (const int v : plan.backward) {
       s.slot[static_cast<size_t>(v)] = n_slots++;
+      s.bwd_stamp[static_cast<size_t>(v)] = epoch;
     }
-    s.fwd_stamp[static_cast<size_t>(v)] = epoch;
+    // The backward set includes the forward set by construction; this
+    // keeps slots valid even for hand-built plans that violate it.
+    for (const int v : plan.forward) {
+      if (s.bwd_stamp[static_cast<size_t>(v)] != epoch) {
+        s.slot[static_cast<size_t>(v)] = n_slots++;
+      }
+    }
   }
-  const size_t soa_size = static_cast<size_t>(n_slots) * 2 * W;
+  // Without the backward walk, forward slots are handed out as vertices
+  // get folded; the cone bounds how many.
+  const size_t max_slots =
+      walk_backward ? static_cast<size_t>(n_slots) : plan.forward.size();
+  const size_t soa_size = max_slots * 2 * W;
   if (s.arrival.size() < soa_size) {
     s.arrival.resize(soa_size);
     s.slew.resize(soa_size);
-    s.required.resize(soa_size);
     s.valid.resize(soa_size);
     s.pred.resize(soa_size);
     s.pred_rf.resize(soa_size);
+  }
+  if (walk_backward && s.required.size() < soa_size) {
+    s.required.resize(soa_size);
   }
   const auto off = [&s](int v, int rf) -> size_t {
     return (static_cast<size_t>(s.slot[static_cast<size_t>(v)]) * 2 +
@@ -140,39 +170,32 @@ void StaEngine::evaluate_delta_block(
   };
 
   // --- forward reset: reset_vertex() semantics, lane-uniform ---------
-  for (const int v : plan.forward) {
-    double arr[2] = {-kInf, -kInf};
-    double slw[2] = {0.0, 0.0};
-    double val[2] = {0.0, 0.0};
-    double req[2] = {kInf, kInf};
-    const auto ic = input_constraints_.find(v);
-    if (ic != input_constraints_.end()) {
-      for (size_t rf = 0; rf < 2; ++rf) {
-        if (!ic->second[rf].set) continue;
-        arr[rf] = ic->second[rf].arrival;
-        slw[rf] = ic->second[rf].slew;
-        val[rf] = 1.0;
-      }
-    }
-    const auto rq = required_.find(v);
-    if (rq != required_.end()) req[0] = req[1] = rq->second;
+  // Arrival-side fields only: required times live in the backward slots.
+  const auto reset_lanes = [&](int v) {
+    const InputConstraint* ic =
+        static_cast<size_t>(v) < input_constraints_.size()
+            ? input_constraints_[static_cast<size_t>(v)].data()
+            : nullptr;
     for (int rf = 0; rf < 2; ++rf) {
+      const bool set = ic != nullptr && ic[rf].set;
+      const double arr = set ? ic[rf].arrival : -kInf;
+      const double slw = set ? ic[rf].slew : 0.0;
+      const double val = set ? 1.0 : 0.0;
       const size_t o = off(v, rf);
       for (int j = 0; j < W; ++j) {
-        s.arrival[o + static_cast<size_t>(j)] = arr[rf];
-        s.slew[o + static_cast<size_t>(j)] = slw[rf];
-        s.valid[o + static_cast<size_t>(j)] = val[rf];
-        s.required[o + static_cast<size_t>(j)] = req[rf];
+        s.arrival[o + static_cast<size_t>(j)] = arr;
+        s.slew[o + static_cast<size_t>(j)] = slw;
+        s.valid[o + static_cast<size_t>(j)] = val;
         s.pred[o + static_cast<size_t>(j)] = -1.0;
         s.pred_rf[o + static_cast<size_t>(j)] = 0.0;  // RiseFall::kRise
       }
     }
-  }
+  };
 
   // --- lane readers ---------------------------------------------------
-  // Arrival-side state of (v, rf): SoA lanes when v is forward-dirty,
-  // otherwise the baseline value broadcast to every lane (a clean
-  // vertex holds its baseline value in every scenario of the block).
+  // Arrival-side state of (v, rf): SoA lanes when v changed in this
+  // block, otherwise the baseline value broadcast to every lane (an
+  // unchanged vertex holds its baseline value in every real lane).
   // Everything stays in registers — only the (rare) noisy-edge scalar
   // fits spill lanes to buffers.
   struct Src {
@@ -420,7 +443,64 @@ void StaEngine::evaluate_delta_block(
     }
   };
 
+  // --- value-change-bounded forward walk -----------------------------
+  // plan.forward (the annotated nets' fanout cone, in level order) is
+  // the structural bound.  A vertex whose fan-in sources are all
+  // unchanged and whose net in-edges carry no annotation in any real
+  // lane would fold the baseline's inputs in the baseline's order, so
+  // it is neither reset nor folded: the readers' baseline fallback
+  // already holds its value bitwise.  Engine-level annotations count as
+  // annotations here (they are in every lane's table): refolding their
+  // edges is exact, just not needed.
+  const auto annotated_in_real_lane = [&](size_t edge_index) {
+    for (size_t j = 0; j < n_real; ++j) {
+      if (ctx[j].edge_noise != nullptr &&
+          ctx[j].edge_noise[edge_index] != nullptr) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto needs_fold = [&](int v) {
+    for (const auto& [is_cell, idx] : in_edges_[static_cast<size_t>(v)]) {
+      const int from = is_cell ? cell_edges_[idx].from : net_edges_[idx].from;
+      if (s.fwd_stamp[static_cast<size_t>(from)] == epoch) return true;
+      if (!is_cell && annotated_in_real_lane(idx)) return true;
+    }
+    return false;
+  };
+  // A folded vertex counts as changed when some real lane differs from
+  // the baseline in the bit pattern of arrival, slew, valid or a
+  // critical-pred field (a bit compare: -0.0 == 0.0 and NaN != NaN
+  // would both mislead `==`).  Pad lanes never count.
+  const auto changed_vs_baseline = [&](int v) {
+    const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    const VertexTiming& b = baseline[static_cast<size_t>(v)];
+    for (int rf = 0; rf < 2; ++rf) {
+      const auto& t = b.timing[static_cast<size_t>(rf)];
+      const uint64_t arr = bits(t.arrival);
+      const uint64_t slw = bits(t.slew);
+      const uint64_t val = bits(t.valid ? 1.0 : 0.0);
+      const uint64_t prd = bits(static_cast<double>(b.critical_pred[rf]));
+      const uint64_t prf = bits(
+          static_cast<double>(static_cast<int>(b.critical_pred_rf[rf])));
+      const size_t o = off(v, rf);
+      for (size_t j = 0; j < n_real; ++j) {
+        if (bits(s.arrival[o + j]) != arr || bits(s.slew[o + j]) != slw ||
+            bits(s.valid[o + j]) != val || bits(s.pred[o + j]) != prd ||
+            bits(s.pred_rf[o + j]) != prf) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+
+  uint64_t n_folded = 0;
   for (const int v : plan.forward) {
+    if (!needs_fold(v)) continue;
+    if (!walk_backward) s.slot[static_cast<size_t>(v)] = n_slots++;
+    reset_lanes(v);
     for (const auto& [is_cell, idx] : in_edges_[static_cast<size_t>(v)]) {
       if (is_cell) {
         fold_cell(cell_edges_[idx]);
@@ -428,13 +508,53 @@ void StaEngine::evaluate_delta_block(
         fold_net(idx);
       }
     }
+    ++n_folded;
+    if (changed_vs_baseline(v)) s.fwd_stamp[static_cast<size_t>(v)] = epoch;
+  }
+  s.folded += n_folded * n_real;
+
+  // --- materialization ------------------------------------------------
+  // Vertex v of real lane jj, as the walk left it: arrival-side fields
+  // when v changed, the required time when v has a backward slot; any
+  // other field keeps the baseline value already in `vt`.
+  const auto write_lane = [&](VertexTiming& vt, int v, size_t jj) {
+    const bool fwd = s.fwd_stamp[static_cast<size_t>(v)] == epoch;
+    const bool bwd = s.bwd_stamp[static_cast<size_t>(v)] == epoch;
+    if (!fwd && !bwd) return;
+    for (int rf = 0; rf < 2; ++rf) {
+      const size_t o = off(v, rf) + jj;
+      auto& t = vt.timing[rf];
+      if (fwd) {
+        t.arrival = s.arrival[o];
+        t.slew = s.slew[o];
+        t.valid = s.valid[o] != 0.0;
+        vt.critical_pred[rf] = static_cast<int>(s.pred[o]);
+        vt.critical_pred_rf[rf] =
+            static_cast<RiseFall>(static_cast<int>(s.pred_rf[o]));
+      }
+      if (bwd) t.required = s.required[o];
+    }
+  };
+  if (!walk_backward) {
+    // Endpoint-rows mode: each endpoint row is the baseline row,
+    // overwritten from the lanes where the walk left the endpoint
+    // vertex changed.
+    const size_t n_endpoints = endpoint_ports_.size();
+    for (size_t jj = 0; jj < n_real; ++jj) {
+      const uint32_t p = block.points[jj];
+      for (size_t e = 0; e < n_endpoints; ++e) {
+        const int v = endpoint_vertex(e);
+        s.rows[e] = (*baselines[p])[static_cast<size_t>(v)];
+        write_lane(s.rows[e], v, jj);
+      }
+      (*out.on_rows)(p, s.rows);
+    }
+    return;
   }
 
   // --- backward reset: reset_required() semantics, lane-uniform -------
   for (const int v : plan.backward) {
-    double req = kInf;
-    const auto rq = required_.find(v);
-    if (rq != required_.end()) req = rq->second;
+    const double req = required_of(v);
     for (int rf = 0; rf < 2; ++rf) {
       const size_t o = off(v, rf);
       for (int j = 0; j < W; ++j) s.required[o + static_cast<size_t>(j)] = req;
@@ -511,48 +631,12 @@ void StaEngine::evaluate_delta_block(
     }
   }
 
-  // --- materialization ------------------------------------------------
-  // Vertex v of real lane jj, as the cone walk left it: arrival-side
-  // fields when v is forward-dirty, the required time when v is dirty
-  // at all (a forward-only vertex keeps its reset required); a clean
-  // vertex keeps the baseline value already in `vt`.
-  const auto write_lane = [&](VertexTiming& vt, int v, size_t jj) {
-    const bool fwd = s.fwd_stamp[static_cast<size_t>(v)] == epoch;
-    const bool bwd = s.bwd_stamp[static_cast<size_t>(v)] == epoch;
-    if (!fwd && !bwd) return;
-    for (int rf = 0; rf < 2; ++rf) {
-      const size_t o = off(v, rf) + jj;
-      auto& t = vt.timing[rf];
-      if (fwd) {
-        t.arrival = s.arrival[o];
-        t.slew = s.slew[o];
-        t.valid = s.valid[o] != 0.0;
-        vt.critical_pred[rf] = static_cast<int>(s.pred[o]);
-        vt.critical_pred_rf[rf] =
-            static_cast<RiseFall>(static_cast<int>(s.pred_rf[o]));
-      }
-      t.required = s.required[o];
-    }
-  };
-  if (out.states.empty()) {
-    // Endpoint-rows mode: each endpoint row is the baseline row,
-    // overwritten from the lanes when the endpoint lies in the cone.
-    const size_t n_endpoints = endpoint_ports_.size();
-    for (size_t jj = 0; jj < n_real; ++jj) {
-      const uint32_t p = block.points[jj];
-      VertexTiming* rows = out.endpoint_rows.data() + p * n_endpoints;
-      for (size_t e = 0; e < n_endpoints; ++e) {
-        const int v = endpoint_vertex(e);
-        rows[e] = (*baselines[p])[static_cast<size_t>(v)];
-        write_lane(rows[e], v, jj);
-      }
-    }
-    return;
-  }
-  // States mode: baseline copy + cone overwrite per real lane, iterated
-  // in ascending vertex id (forward_ids/backward_ids) so the output
-  // writes stream in address order; the id lists fall back to the
-  // level-ordered ones for hand-built plans that left them empty.
+  // States mode: baseline copy + overwrite per real lane, iterated in
+  // ascending vertex id (backward_ids/forward_ids) so the output writes
+  // stream in address order; the id lists fall back to the
+  // level-ordered ones for hand-built plans that left them empty.  The
+  // backward set holds every changed vertex of a well-formed plan; the
+  // forward pass covers plans whose backward set misses some.
   const std::vector<int>& fwd_ids =
       plan.forward_ids.size() == plan.forward.size() ? plan.forward_ids
                                                      : plan.forward;
@@ -563,11 +647,11 @@ void StaEngine::evaluate_delta_block(
     const uint32_t p = block.points[jj];
     TimingState& state = out.states[p];
     state = *baselines[p];
-    for (const int v : fwd_ids) {
+    for (const int v : bwd_ids) {
       write_lane(state[static_cast<size_t>(v)], v, jj);
     }
-    for (const int v : bwd_ids) {
-      if (s.fwd_stamp[static_cast<size_t>(v)] == epoch) continue;
+    for (const int v : fwd_ids) {
+      if (s.bwd_stamp[static_cast<size_t>(v)] == epoch) continue;
       write_lane(state[static_cast<size_t>(v)], v, jj);
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <sstream>
 
@@ -22,7 +23,8 @@ std::string format_prune_stats(const PruneStats& stats) {
   os << "prune_stats: points=" << stats.points
      << " evaluated=" << stats.evaluated << " reused=" << stats.reused
      << " pruned=" << stats.pruned << "\n"
-     << "  dirty_vertex_fraction=" << stats.dirty_vertex_fraction << "\n"
+     << "  dirty_vertex_fraction=" << stats.dirty_vertex_fraction
+     << " folded_vertex_fraction=" << stats.folded_vertex_fraction << "\n"
      << "  mean_bound_gap=" << stats.mean_bound_gap
      << " min_bound_gap=" << stats.min_bound_gap;
   return os.str();
@@ -447,8 +449,9 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
 
   if (!spec.delta && !prune) {
     // Full evaluate() per point (SweepSpec::delta == false): the oracle
-    // the delta path is tested against.
+    // the delta path is tested against.  It folds every vertex.
     r.prune_stats_.evaluated = n_points;
+    r.prune_stats_.folded_vertex_fraction = 1.0;
     if (!spec.endpoint_only) {
       // Full mode: every point keeps its TimingState, all evaluated in
       // one evaluate_points() call.
@@ -717,19 +720,26 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   if (prune) chunk = std::min(chunk, std::max<size_t>(2 * pool->size(), 8));
   chunk = std::max<size_t>(chunk, 1);
 
-  // Endpoint-only lane sweeps keep no per-point state: the lane runner
-  // writes each point's E endpoint rows into wave_rows and the summary
-  // reads them there.  Every other path materializes full states in
-  // wave_buf (the scalar and delta = false paths stay the oracles).
+  // Endpoint-only lane sweeps keep no per-point state: each lane-block
+  // task builds a point's E endpoint rows in its worker's scratch and
+  // summarizes them there, into the point's own result slots.  Every
+  // other path materializes full states in wave_buf and summarizes on
+  // the caller (the scalar and delta = false paths stay the oracles).
   const bool rows_only = spec.endpoint_only && spec.delta && lanes > 1;
-  std::vector<VertexTiming> wave_rows;
   std::vector<TimingState> wave_buf;
   std::vector<EvalContext> wave_ctx;
   std::vector<const TimingState*> wave_base;
   std::vector<const StaEngine::DeltaPlan*> wave_plans;
   std::vector<size_t> wave_points;
+  const std::function<void(uint32_t, std::span<const VertexTiming>)>
+      summarize_in_worker =
+          [&](uint32_t i, std::span<const VertexTiming> rows) {
+            (void)summarize(wave_points[i], rows);
+          };
   double gap_sum = 0.0;
   double gap_min = kInf;
+  // Σ over evaluated points of forward vertices folded for them.
+  uint64_t folded = 0;
 
   size_t next = 0;
   while (next < order.size()) {
@@ -756,34 +766,33 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     }
     if (rows_only) {
       // Lane-parallel: compatible points of the wave share one SoA
-      // graph walk, and each point leaves only its endpoint rows —
-      // bitwise the rows the full states of the branches below hold.
-      if (wave_rows.size() < n * n_endpoints) {
-        wave_rows.resize(n * n_endpoints);
-      }
-      evaluate_points_delta_lanes(
-          std::span<VertexTiming>(wave_rows.data(), n * n_endpoints),
-          wave_ctx, wave_base, wave_plans, lanes, pool, wss);
+      // graph walk, and each point's endpoint rows — bitwise the rows
+      // the full states of the branches below hold — are summarized by
+      // the task that produced them.
+      folded += run_lane_blocks({{}, &summarize_in_worker}, wave_ctx,
+                                wave_base, wave_plans, lanes, pool, wss);
     } else {
       if (wave_buf.size() < n) wave_buf.resize(n);
       const std::span<TimingState> states(wave_buf.data(), n);
       if (spec.delta && lanes > 1) {
-        evaluate_points_delta_lanes(states, wave_ctx, wave_base, wave_plans,
-                                    lanes, pool, wss);
+        folded += run_lane_blocks({states}, wave_ctx, wave_base, wave_plans,
+                                  lanes, pool, wss);
       } else if (spec.delta) {
         evaluate_points_delta(states, wave_ctx, wave_base, wave_plans, pool,
                               wss);
+        for (const DeltaPlan* plan : wave_plans) {
+          folded += plan->forward.size();
+        }
       } else {
         evaluate_points(states, wave_ctx, pool, wss);
+        folded += n * vertex_count();
       }
     }
     for (size_t i = 0; i < n; ++i) {
       const size_t p = wave_points[i];
       double ws;
       if (rows_only) {
-        ws = summarize(p, std::span<const VertexTiming>(
-                              wave_rows.data() + i * n_endpoints,
-                              n_endpoints));
+        ws = r.worst_slacks_[p];
       } else if (spec.endpoint_only) {
         ws = summarize(p, wave_buf[i]);
       } else {
@@ -810,6 +819,12 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     r.prune_stats_.mean_bound_gap =
         gap_sum / static_cast<double>(r.prune_stats_.evaluated);
     r.prune_stats_.min_bound_gap = gap_min;
+  }
+  if (r.prune_stats_.evaluated > 0) {
+    r.prune_stats_.folded_vertex_fraction =
+        static_cast<double>(folded) /
+        (static_cast<double>(r.prune_stats_.evaluated) *
+         static_cast<double>(std::max<size_t>(vertex_count(), 1)));
   }
   return r;
 }

@@ -149,8 +149,16 @@ struct PruneStats {
   /// Points whose bound proved they cannot set the worst slack; not
   /// propagated, per-point accessors throw.
   size_t pruned = 0;
-  /// Mean |fanout cone| / vertices over the scenario axis (delta mode).
+  /// Mean |fanout cone| / vertices over the scenario axis (delta mode):
+  /// the structural bound of the delta walks.
   double dirty_vertex_fraction = 0.0;
+  /// Mean forward vertices actually folded / vertices over the
+  /// evaluated points: the work under that bound.  The lane walker
+  /// folds only vertices with a changed or annotated fan-in, the scalar
+  /// delta path (lanes = 1, and width-4 singleton blocks) folds the
+  /// whole cone, and full evaluation (delta = false) every vertex.  A
+  /// lane block's folds count once for each of its points.
+  double folded_vertex_fraction = 0.0;
   /// Bound tightness: mean and minimum of (exact worst slack − bound)
   /// over evaluated points [s].  A negative minimum would mean the
   /// bound was NOT conservative (asserted never to happen in tests).
@@ -161,7 +169,7 @@ struct PruneStats {
 
 /// Renders PruneStats with its canonical field names (points /
 /// evaluated / reused / pruned / dirty_vertex_fraction /
-/// mean_bound_gap / min_bound_gap) — the
+/// folded_vertex_fraction / mean_bound_gap / min_bound_gap) — the
 /// one formatting shared by the examples, bench_runtime and
 /// docs/SWEEP_GUIDE.md, so docs and binaries never drift.
 [[nodiscard]] std::string format_prune_stats(const PruneStats& stats);
@@ -191,7 +199,8 @@ struct SweepSpec {
   bool endpoint_only = false;
   /// Points evaluated per chunk in endpoint-only mode (bounds transient
   /// memory: a full TimingState per point on the scalar and
-  /// delta = false paths, only the endpoint rows on the lane path);
+  /// delta = false paths; the lane path keeps one point's endpoint rows
+  /// per worker whatever the chunk);
   /// 0 selects max(4 × threads, 64).
   size_t endpoint_chunk = 0;
   /// Baseline + delta evaluation: one nominal TimingState per corner,

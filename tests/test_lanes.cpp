@@ -11,11 +11,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "netlist/generators.hpp"
 #include "sta/engine.hpp"
+#include "sta/hiergraph.hpp"
+#include "sta/macromodel.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
 #include "util/error.hpp"
@@ -26,6 +30,7 @@
 
 namespace st = waveletic::sta;
 namespace tu = waveletic::statest;
+namespace wn = waveletic::netlist;
 namespace wu = waveletic::util;
 namespace wv = waveletic::wave;
 
@@ -642,5 +647,412 @@ TEST(Lanes, SweepLanesKnobAutoMatchesScalar) {
   for (size_t i = 0; i < scalar_spec.scenarios.size(); ++i) {
     EXPECT_TRUE(BitEq(scalar_batch.worst_slack(i), lane_batch.worst_slack(i)))
         << "scenario " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Value-change cut-off of the lane walker: bitwise against the scalar
+// evaluate_delta() and full evaluate() (the delta = false oracle)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A hand-built design whose noise cones behave in known ways:
+///  - n1 (g1/Y) drives the early A input of NAND g2, whose B input comes
+///    from the late input b through three inverters: a small bump on n1
+///    moves g2/A but not g2/Y, so the cone dies mid-way;
+///  - n2 (g2/Y) reaches the endpoint y through g3;
+///  - n6 (g7/Y) reaches the endpoint z through g8.  The engine itself
+///    annotates n6 with its quiet (bump-free) waveform, so a bump far
+///    past the transition leaves the annotation bitwise unchanged and
+///    the cone dies at its root.
+struct CutoffDesign {
+  std::unique_ptr<wn::Netlist> netlist;
+  std::unique_ptr<st::StaEngine> sta;
+  /// Clean (unannotated) falling-transition timing at each victim sink.
+  std::map<std::string, st::PinTiming> victim;
+};
+
+CutoffDesign cutoff_design() {
+  CutoffDesign d;
+  d.netlist = std::make_unique<wn::Netlist>();
+  auto& nl = *d.netlist;
+  nl.name = "cutoff";
+  for (const char* in : {"a", "b", "c"}) {
+    nl.add_port(in, wn::PortDirection::kInput);
+  }
+  for (const char* out : {"y", "z"}) {
+    nl.add_port(out, wn::PortDirection::kOutput);
+  }
+  const auto gate = [&nl](const char* name, const char* cell,
+                          std::map<std::string, std::string> pins) {
+    wn::Instance inst;
+    inst.name = name;
+    inst.cell = cell;
+    inst.pins = std::move(pins);
+    nl.add_instance(std::move(inst));
+  };
+  gate("g1", "INVX1", {{"A", "a"}, {"Y", "n1"}});
+  gate("g4", "INVX1", {{"A", "b"}, {"Y", "n3"}});
+  gate("g5", "INVX1", {{"A", "n3"}, {"Y", "n4"}});
+  gate("g6", "INVX1", {{"A", "n4"}, {"Y", "n5"}});
+  gate("g2", "NAND2X1", {{"A", "n1"}, {"B", "n5"}, {"Y", "n2"}});
+  gate("g3", "INVX1", {{"A", "n2"}, {"Y", "y"}});
+  gate("g7", "INVX1", {{"A", "c"}, {"Y", "n6"}});
+  gate("g8", "INVX4", {{"A", "n6"}, {"Y", "z"}});
+  nl.validate();
+  const auto constrain = [](st::StaEngine& sta) {
+    sta.set_input("a", 0.0, 80e-12);
+    sta.set_input("b", 400e-12, 80e-12);
+    sta.set_input("c", 10e-12, 90e-12);
+    for (const char* out : {"y", "z"}) {
+      sta.set_output_load(out, 5e-15);
+      sta.set_required(out, 2e-9);
+    }
+  };
+  {
+    st::StaEngine clean(nl, tu::vcl013());
+    constrain(clean);
+    clean.run();
+    for (const char* pin : {"g2/A", "g3/A", "g8/A"}) {
+      d.victim[pin] = clean.timing(pin, st::RiseFall::kFall);
+    }
+  }
+  d.sta = std::make_unique<st::StaEngine>(nl, tu::vcl013());
+  constrain(*d.sta);
+  return d;
+}
+
+/// Aggressor bump on the net driving `sink`, against its clean ramp.
+st::NoiseScenario cutoff_bump(const CutoffDesign& d, const std::string& net,
+                              const std::string& sink, double alignment,
+                              double strength) {
+  const auto& t = d.victim.at(sink);
+  auto sc = st::make_aggressor_scenario(net, t.arrival, t.slew,
+                                        tu::vcl013().nom_voltage,
+                                        wv::Polarity::kFalling, alignment,
+                                        strength);
+  sc.name = net + "/" + std::to_string(alignment) + "/" +
+            std::to_string(strength);
+  return sc;
+}
+
+/// Installs the engine-level quiet annotation on n6 (the clean ramp,
+/// strength 0) and returns it.
+const st::NoiseAnnotation& annotate_quiet_n6(CutoffDesign& d) {
+  const auto quiet = cutoff_bump(d, "n6", "g8/A", 0.0, 0.0);
+  d.sta->annotate_noisy_net("n6", quiet.entries[0].annotation.waveform,
+                            wv::Polarity::kFalling);
+  return *d.sta->noisy_net("n6");
+}
+
+/// A bump 1 us past the transition: exactly zero on every sample.
+constexpr double kFarAlignment = 1e-6;
+
+/// Vertices whose arrival-side fields differ from the baseline, bitwise.
+std::vector<std::string> changed_vertices(const st::StaEngine& sta,
+                                          const st::TimingState& state,
+                                          const st::TimingState& baseline) {
+  std::vector<std::string> out;
+  for (size_t v = 0; v < sta.vertex_count(); ++v) {
+    st::VertexTiming a = state[v];
+    st::VertexTiming b = baseline[v];
+    for (int rf = 0; rf < 2; ++rf) a.timing[rf].required = 0.0;
+    for (int rf = 0; rf < 2; ++rf) b.timing[rf].required = 0.0;
+    if (!RowBitEq(a, b)) out.push_back(sta.vertex_name(v));
+  }
+  return out;
+}
+
+/// Every field of every vertex of two states, bitwise.
+::testing::AssertionResult StateRowsBitEq(const st::StaEngine& sta,
+                                          const st::TimingState& a,
+                                          const st::TimingState& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "state sizes differ";
+  }
+  for (size_t v = 0; v < a.size(); ++v) {
+    auto eq = RowBitEq(a[v], b[v]);
+    if (!eq) return eq << " at " << sta.vertex_name(v);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One baseline + per-scenario tables and plans under a corner, laid
+/// out for the direct evaluate_points_delta* calls.  The corner and the
+/// baseline live on the heap: the contexts point at them.
+struct DirectPoints {
+  std::unique_ptr<const st::Corner> corner;
+  std::vector<const st::NoiseAnnotation*> base_table;
+  std::unique_ptr<st::TimingState> baseline;
+  std::vector<std::vector<const st::NoiseAnnotation*>> tables;
+  std::vector<st::StaEngine::DeltaPlan> plans;
+  std::vector<st::StaEngine::EvalContext> contexts;
+  std::vector<const st::TimingState*> baselines;
+  std::vector<const st::StaEngine::DeltaPlan*> plan_ptrs;
+};
+
+DirectPoints direct_points(st::StaEngine& sta,
+                           const std::vector<st::NoiseScenario>& scenarios,
+                           const st::Corner& corner) {
+  sta.prepare();
+  DirectPoints d;
+  d.corner = std::make_unique<const st::Corner>(corner);
+  d.base_table = sta.compile_edge_annotations(nullptr);
+  st::StaEngine::EvalContext base;
+  base.edge_noise = d.base_table.data();
+  base.corner = d.corner.get();
+  base.corner_key = corner.key();
+  base.method = &sta.noise_method();
+  d.baseline = std::make_unique<st::TimingState>();
+  sta.evaluate(*d.baseline, base);
+  const size_t n = scenarios.size();
+  d.tables.reserve(n);
+  d.plans.reserve(n);
+  for (const auto& sc : scenarios) {
+    d.tables.push_back(sta.compile_edge_annotations(&sc));
+    d.plans.push_back(sta.delta_plan(sc));
+  }
+  d.contexts.assign(n, base);
+  d.baselines.assign(n, d.baseline.get());
+  for (size_t p = 0; p < n; ++p) {
+    d.contexts[p].edge_noise = d.tables[p].data();
+    d.plan_ptrs.push_back(&d.plans[p]);
+  }
+  return d;
+}
+
+/// The W=1 walker (every build) and the W=4 walker (AVX2), in states and
+/// endpoint-rows mode, against full evaluate() and scalar
+/// evaluate_delta(), every field of every vertex / endpoint bitwise.
+void expect_walkers_match_oracles(CutoffDesign& design,
+                                  const std::vector<st::NoiseScenario>& sc,
+                                  const st::Corner& corner) {
+  st::StaEngine& sta = *design.sta;
+  auto d = direct_points(sta, sc, corner);
+  const size_t n = sc.size();
+  std::vector<st::TimingState> full(n), scalar(n);
+  for (size_t p = 0; p < n; ++p) sta.evaluate(full[p], d.contexts[p]);
+  sta.evaluate_points_delta(scalar, d.contexts, d.baselines, d.plan_ptrs);
+  for (size_t p = 0; p < n; ++p) {
+    ASSERT_TRUE(StateRowsBitEq(sta, full[p], scalar[p])) << "scalar " << p;
+  }
+  const size_t n_endpoints = sta.endpoint_ports().size();
+  std::vector<size_t> endpoint_vertex;
+  for (const int32_t port : sta.endpoint_ports()) {
+    const auto& name = design.netlist->ports()[static_cast<size_t>(port)].name;
+    endpoint_vertex.push_back(static_cast<size_t>(sta.pin(name).index));
+  }
+  for (const int width : {1, 4}) {
+    if (width == 4 && !avx2()) continue;
+    SCOPED_TRACE("W=" + std::to_string(width));
+    std::vector<st::TimingState> states(n);
+    sta.evaluate_points_delta_lanes(states, d.contexts, d.baselines,
+                                    d.plan_ptrs, width);
+    std::vector<st::VertexTiming> rows(n * n_endpoints);
+    sta.evaluate_points_delta_lanes(rows, d.contexts, d.baselines,
+                                    d.plan_ptrs, width);
+    for (size_t p = 0; p < n; ++p) {
+      EXPECT_TRUE(StateRowsBitEq(sta, full[p], states[p])) << "point " << p;
+      for (size_t e = 0; e < n_endpoints; ++e) {
+        EXPECT_TRUE(RowBitEq(full[p][endpoint_vertex[e]],
+                             rows[p * n_endpoints + e]))
+            << "point " << p << " endpoint " << e;
+      }
+    }
+  }
+}
+
+st::Corner slow_corner() {
+  st::Corner slow;
+  slow.name = "slow";
+  slow.cell_delay_scale = 1.08;
+  slow.cell_slew_scale = 1.05;
+  slow.wire_delay_scale = 1.15;
+  return slow;
+}
+
+}  // namespace
+
+TEST(LaneCutoff, FixtureConesDieWhereDesigned) {
+  auto d = cutoff_design();
+  const auto& quiet = annotate_quiet_n6(d);
+  const auto far = cutoff_bump(d, "n6", "g8/A", kFarAlignment, 0.3);
+  // The far bump is exactly zero on every sample: same waveform, same
+  // memo key as the engine's quiet annotation.
+  EXPECT_EQ(far.entries[0].annotation.key, quiet.key);
+  const std::vector<st::NoiseScenario> sc = {
+      far, cutoff_bump(d, "n1", "g2/A", 0.0, 0.2),
+      cutoff_bump(d, "n2", "g3/A", 0.0, 0.3)};
+  auto pts = direct_points(*d.sta, sc, st::Corner{});
+  std::vector<st::TimingState> full(sc.size());
+  for (size_t p = 0; p < sc.size(); ++p) {
+    d.sta->evaluate(full[p], pts.contexts[p]);
+  }
+  // Dies at its root: nothing changes although the cone is 3 vertices.
+  EXPECT_EQ(pts.plans[0].forward.size(), 3u);
+  EXPECT_TRUE(changed_vertices(*d.sta, full[0], *pts.baseline).empty());
+  // Dies mid-way: only the noisy NAND input moves.
+  EXPECT_EQ(pts.plans[1].forward.size(), 5u);
+  EXPECT_EQ(changed_vertices(*d.sta, full[1], *pts.baseline),
+            std::vector<std::string>{"g2/A"});
+  // Reaches the endpoint y.
+  const auto reach = changed_vertices(*d.sta, full[2], *pts.baseline);
+  EXPECT_NE(std::find(reach.begin(), reach.end(), "y"), reach.end());
+}
+
+TEST(LaneCutoff, WalkersMatchScalarAndFullEvaluation) {
+  auto d = cutoff_design();
+  (void)annotate_quiet_n6(d);
+  const auto far = cutoff_bump(d, "n6", "g8/A", kFarAlignment, 0.3);
+  const auto mid = cutoff_bump(d, "n1", "g2/A", 0.0, 0.2);
+  const auto reach = cutoff_bump(d, "n2", "g3/A", 0.0, 0.3);
+  const auto reach_z = cutoff_bump(d, "n6", "g8/A", 5e-12, 0.35);
+  const std::vector<std::vector<st::NoiseScenario>> cases = {
+      {far},
+      {mid},
+      {reach},
+      // Four distinct cones: one union-merged block whose lanes change
+      // different vertex sets (none, g2/A, the y path, the z path).
+      {far, mid, reach, reach_z},
+      // Three variants of one cone: a 3-real-lane padded block.
+      {reach, cutoff_bump(d, "n2", "g3/A", 10e-12, 0.25),
+       cutoff_bump(d, "n2", "g3/A", -5e-12, 0.4)},
+  };
+  if (avx2()) {
+    // The groupings above are the block shapes they stand for.
+    auto u = direct_points(*d.sta, cases[3], st::Corner{});
+    const auto blocks =
+        d.sta->group_lane_blocks(u.contexts, u.baselines, u.plan_ptrs, 4);
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0].points.size(), 4u);
+    EXPECT_NE(blocks[0].owned_plan, nullptr);
+    auto padded = direct_points(*d.sta, cases[4], st::Corner{});
+    const auto pb = d.sta->group_lane_blocks(
+        padded.contexts, padded.baselines, padded.plan_ptrs, 4);
+    ASSERT_EQ(pb.size(), 1u);
+    EXPECT_EQ(pb[0].points.size(), 3u);
+  }
+  for (const auto& corner : {st::Corner{}, slow_corner()}) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE("corner=" + corner.name + " case " + std::to_string(c));
+      expect_walkers_match_oracles(d, cases[c], corner);
+    }
+  }
+}
+
+TEST(LaneCutoff, SweepsMatchDeltaFalseAndReportFoldedWork) {
+  auto d = cutoff_design();
+  (void)annotate_quiet_n6(d);
+  const double V = static_cast<double>(d.sta->vertex_count());
+  const auto variants = [&d](const char* net, const char* sink,
+                             double alignment) {
+    std::vector<st::NoiseScenario> out;
+    for (const double strength : {0.12, 0.16, 0.2, 0.24}) {
+      out.push_back(cutoff_bump(d, net, sink, alignment, strength));
+    }
+    return out;
+  };
+  struct Case {
+    const char* what;
+    std::vector<st::NoiseScenario> scenarios;
+    double folded_per_point;  ///< lane-walk folds per point (AVX2)
+  };
+  const std::vector<Case> cases = {
+      {"dies at its root", variants("n6", "g8/A", kFarAlignment), 1.0},
+      {"dies mid-way", variants("n1", "g2/A", 0.0), 2.0},
+      {"reaches y", variants("n2", "g3/A", 0.0), -1.0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    st::SweepSpec oracle;
+    oracle.scenarios = c.scenarios;
+    oracle.corners = {st::Corner{}, slow_corner()};
+    oracle.threads = 2;
+    oracle.delta = false;
+    oracle.lanes = 1;
+    const auto ref = d.sta->sweep(oracle);
+    EXPECT_EQ(ref.prune_stats().folded_vertex_fraction, 1.0);
+
+    // States mode keeps its backward fold: every field of every vertex,
+    // required times included, equals the delta = false oracle.
+    st::SweepSpec states = oracle;
+    states.delta = true;
+    states.lanes = 0;
+    const auto got_states = d.sta->sweep(states);
+    for (size_t p = 0; p < ref.size(); ++p) {
+      EXPECT_TRUE(StateRowsBitEq(*d.sta, ref.state(p), got_states.state(p)))
+          << "point " << p;
+    }
+
+    st::SweepSpec rows = states;
+    rows.endpoint_only = true;
+    const auto got = d.sta->sweep(rows);
+    expect_summaries_bitwise_equal(ref, got);
+    const auto& ps = got.prune_stats();
+    EXPECT_LE(ps.folded_vertex_fraction, ps.dirty_vertex_fraction + 1e-12);
+    if (avx2()) {
+      // One four-lane block per corner; the walk folds only what the
+      // noise reaches.
+      if (c.folded_per_point > 0.0) {
+        EXPECT_LT(ps.folded_vertex_fraction, ps.dirty_vertex_fraction);
+        EXPECT_NEAR(ps.folded_vertex_fraction * V, c.folded_per_point,
+                    1e-9);
+      }
+      EXPECT_EQ(got_states.prune_stats().folded_vertex_fraction,
+                ps.folded_vertex_fraction);
+    } else {
+      // The scalar delta path folds every cone in full.
+      EXPECT_NEAR(ps.folded_vertex_fraction, ps.dirty_vertex_fraction,
+                  1e-12);
+    }
+  }
+}
+
+TEST(LaneCutoff, EndpointsDriveNothingOnEveryGenerator) {
+  // The endpoint-rows walk skips required times because no endpoint
+  // drives an edge; engine construction asserts it, so every in-repo
+  // generator must build.
+  const auto check = [](const wn::Netlist& nl, const char* what) {
+    std::unique_ptr<st::StaEngine> sta;
+    EXPECT_NO_THROW(sta = std::make_unique<st::StaEngine>(nl, tu::vcl013()))
+        << what;
+    if (sta != nullptr) {
+      EXPECT_FALSE(sta->endpoint_ports().empty()) << what;
+    }
+  };
+  check(wn::make_random_dag(2026, 24, 50, 80), "dense DAG");
+  check(wn::make_random_dag(7, 6, 5, 7), "random DAG");
+  check(wn::make_chain_tree(6), "chain tree");
+  const auto grid = wn::make_grid_block(8, 12);
+  check(grid, "grid block");
+  for (const auto topology :
+       {wn::StitchTopology::kParallel, wn::StitchTopology::kChain}) {
+    wn::StitchOptions opt;
+    opt.copies = 3;
+    opt.topology = topology;
+    check(wn::stitch_blocks_flat(grid, opt), "flat stitch");
+  }
+  const auto block = wn::make_random_dag(13, 4, 4, 5);
+  const auto model = st::extract_block_model(block, tu::vcl013());
+  wn::StitchOptions opt;
+  opt.copies = 3;
+  const auto hier = st::HierDesign::build(block, tu::vcl013(), model, opt);
+  EXPECT_FALSE(hier.engine().endpoint_ports().empty()) << "hier stitch";
+
+  // The one way to break it: an output port named like an instance
+  // input pin shares that pin's vertex, which drives the cell arc.
+  wn::Netlist clash;
+  clash.add_port("a", wn::PortDirection::kInput);
+  clash.add_port("u1/A", wn::PortDirection::kOutput);
+  clash.add_instance({"u0", "INVX1", {{"A", "a"}, {"Y", "u1/A"}}});
+  clash.add_instance({"u1", "INVX1", {{"A", "n"}, {"Y", "y"}}});
+  try {
+    st::StaEngine bad(clash, tu::vcl013());
+    ADD_FAILURE() << "an output port driving an edge was accepted";
+  } catch (const wu::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("output port u1/A drives an edge"),
+              std::string::npos)
+        << e.what();
   }
 }

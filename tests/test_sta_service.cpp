@@ -658,5 +658,146 @@ TEST(StalenessGuardTest, SweepResultThrowsAfterEngineDestruction) {
   EXPECT_THROW((void)result.critical_path(0), util::Error);
 }
 
+// ---------------------------------------------------------------------------
+// Port constraint tables: per-port arrays indexed by port ordinal
+// ---------------------------------------------------------------------------
+
+/// Every field of every vertex of two states, bitwise (the timing
+/// fields and the critical-pred links).
+::testing::AssertionResult init_states_bitwise_equal(
+    const sta::TimingState& a, const sta::TimingState& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "state sizes differ";
+  }
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (size_t v = 0; v < a.size(); ++v) {
+    for (int rf = 0; rf < 2; ++rf) {
+      const auto& ta = a[v].timing[rf];
+      const auto& tb = b[v].timing[rf];
+      if (bits(ta.arrival) != bits(tb.arrival) ||
+          bits(ta.slew) != bits(tb.slew) ||
+          bits(ta.required) != bits(tb.required) || ta.valid != tb.valid ||
+          a[v].critical_pred[rf] != b[v].critical_pred[rf] ||
+          a[v].critical_pred_rf[rf] != b[v].critical_pred_rf[rf]) {
+        return ::testing::AssertionFailure()
+               << "vertex " << v << " differs ("
+               << sta::to_string(static_cast<sta::RiseFall>(rf)) << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Chain-tree constraints with every shape the tables hold: both
+/// transitions, one transition only, none, and a required time.
+void constrain_mixed(sta::StaEngine& sta) {
+  sta.set_input("a0", 0.1e-9, 80e-12);
+  sta.set_input("a1", sta::RiseFall::kRise, 0.2e-9, 90e-12);
+  sta.set_input("a2", sta::RiseFall::kFall, 0.3e-9, 70e-12);
+  // a3 stays unconstrained.
+  sta.set_output_load("y", 6e-15);
+  sta.set_required("y", 2e-9);
+}
+
+TEST(ConstraintTableTest, InitStateHoldsExactlyThePortConstraints) {
+  const auto nl = netlist::make_chain_tree(4);
+  sta::StaEngine eng(nl, vcl013());
+  constrain_mixed(eng);
+  sta::TimingState got;
+  eng.init_state(got);
+
+  // The state a fresh reset plus the constraints must give.
+  sta::TimingState want(eng.vertex_count());
+  const auto at = [&](const char* pin) -> sta::VertexTiming& {
+    return want[static_cast<size_t>(eng.pin(pin).index)];
+  };
+  const auto input = [](sta::VertexTiming& vt, sta::RiseFall rf,
+                        double arrival, double slew) {
+    auto& t = vt.timing[static_cast<size_t>(rf)];
+    t.arrival = arrival;
+    t.slew = slew;
+    t.valid = true;
+  };
+  input(at("a0"), sta::RiseFall::kRise, 0.1e-9, 80e-12);
+  input(at("a0"), sta::RiseFall::kFall, 0.1e-9, 80e-12);
+  input(at("a1"), sta::RiseFall::kRise, 0.2e-9, 90e-12);
+  input(at("a2"), sta::RiseFall::kFall, 0.3e-9, 70e-12);
+  at("y").timing[0].required = 2e-9;
+  at("y").timing[1].required = 2e-9;
+  EXPECT_TRUE(init_states_bitwise_equal(want, got));
+
+  // One transition of set_input leaves the other unset through a run.
+  eng.run();
+  EXPECT_TRUE(eng.timing("a1", sta::RiseFall::kRise).valid);
+  EXPECT_FALSE(eng.timing("a1", sta::RiseFall::kFall).valid);
+  EXPECT_FALSE(eng.timing("a2", sta::RiseFall::kRise).valid);
+  EXPECT_TRUE(eng.timing("a2", sta::RiseFall::kFall).valid);
+  EXPECT_FALSE(eng.timing("a3", sta::RiseFall::kRise).valid);
+}
+
+TEST(ConstraintTableTest, ForkAndCopyConfigCarryConstraintsBitwise) {
+  const auto nl = netlist::make_chain_tree(4);
+  sta::StaEngine eng(nl, vcl013());
+  constrain_mixed(eng);
+  sta::TimingState want;
+  eng.init_state(want);
+
+  const auto forked = eng.fork();
+  sta::TimingState got;
+  forked->init_state(got);
+  EXPECT_TRUE(init_states_bitwise_equal(want, got)) << "fork()";
+
+  // copy_config_from across a separately built graph of the same
+  // netlist, overwriting constraints the target already had.
+  const netlist::Netlist copy = nl;
+  sta::StaEngine target(copy, vcl013());
+  target.set_input("a3", 0.5e-9, 60e-12);
+  target.set_required("y", 1e-9);
+  target.copy_config_from(eng);
+  target.init_state(got);
+  EXPECT_TRUE(init_states_bitwise_equal(want, got)) << "copy_config_from()";
+
+  eng.run();
+  forked->run();
+  target.run();
+  for (const auto rf : {sta::RiseFall::kRise, sta::RiseFall::kFall}) {
+    const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    const auto& a = eng.timing("y", rf);
+    EXPECT_EQ(bits(a.arrival), bits(forked->timing("y", rf).arrival));
+    EXPECT_EQ(bits(a.slack()), bits(forked->timing("y", rf).slack()));
+    EXPECT_EQ(bits(a.arrival), bits(target.timing("y", rf).arrival));
+    EXPECT_EQ(bits(a.slack()), bits(target.timing("y", rf).slack()));
+  }
+}
+
+TEST(ConstraintTableTest, StructuralRebuildCarriesConstraintsBitwise) {
+  const auto nl = netlist::make_random_dag(11, 6, 5, 7);
+  sta::StaService service(nl, vcl013());
+  (void)service.apply(constraint_batch(nl));
+  const netlist::Instance* inv = nullptr;
+  for (const auto& inst : nl.instances()) {
+    if (inst.cell == "INVX1") {
+      inv = &inst;
+      break;
+    }
+  }
+  ASSERT_NE(inv, nullptr);
+  sta::EditBatch retype;
+  retype.retype_cell(inv->name, "INVX4");
+  const auto report = service.apply(retype);
+  ASSERT_TRUE(report.structural);
+
+  // A fresh engine on the edited netlist, constrained directly.
+  netlist::Netlist edited = nl;
+  edited.retype_instance(inv->name, "INVX4");
+  sta::StaEngine fresh(edited, vcl013());
+  statest::constrain_ports(fresh, edited);
+  sta::TimingState want;
+  fresh.init_state(want);
+  sta::TimingState got;
+  service.snapshot()->engine().init_state(got);
+  EXPECT_TRUE(init_states_bitwise_equal(want, got));
+}
+
 }  // namespace
 }  // namespace waveletic
